@@ -50,11 +50,10 @@ def test_crawl_worker_sweep(render_sink):
     assert report.obs_layer["byte_identical_to_sequential"]
     assert report.obs_layer["traced_byte_identical_to_sequential"]
     assert report.obs_layer["trace_spans"] > 0
-    # Supervision overhead: the clean supervised run and the
-    # kill-one-worker run must both merge back byte-identical, and the
-    # injected kill must actually have been recovered from.
+    # Recovery cost: the kill-one-worker run must merge back
+    # byte-identical, and the injected kill must actually have been
+    # recovered from.
     assert report.supervise_layer is not None
-    assert report.supervise_layer["byte_identical_to_sequential"]
     assert report.supervise_layer["kill_recover"]["byte_identical_to_sequential"]
     assert report.supervise_layer["kill_recover"]["recoveries"] >= 1
 

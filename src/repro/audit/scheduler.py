@@ -7,9 +7,9 @@ a study configuration as a **recurring audit**, and every
 complete paired-control crawl window with a cycle-derived seed — under
 the existing execution stack:
 
-* cycles run sequentially, sharded (``workers=N``), or under
-  :mod:`repro.supervise` (crash/hang recovery, :class:`KillSpec`
-  murder points for tests), exactly as ``Study.run`` would;
+* cycles run sequentially or sharded over supervised workers
+  (``workers=N``: crash/hang recovery, :class:`KillSpec` murder points
+  for tests), exactly as ``Study.run`` would;
 * with ``checkpoint_cycles`` the in-flight cycle journals to a crawl
   checkpoint next to the store, so a daemon killed mid-cycle resumes
   the cycle byte-identically instead of re-crawling it;
@@ -53,12 +53,12 @@ SPEC_FINGERPRINT_VERSION = 1
 class AuditSpec:
     """One recurring audit: what to crawl, how often, how to execute it.
 
-    Execution knobs (``workers``, ``supervise``, ``checkpoint_cycles``,
+    Execution knobs (``workers``, ``checkpoint_cycles``,
     ``trace_cycles``) are deliberately *excluded* from the store
     fingerprint: they change how a cycle runs, never what it produces —
-    the byte-parity guarantees of :mod:`repro.parallel` and
-    :mod:`repro.supervise` are what make that exclusion sound, and the
-    determinism tests hold the scheduler to it.
+    the byte-parity guarantees of :mod:`repro.parallel` (across worker
+    counts, recoveries and resumes) are what make that exclusion sound,
+    and the determinism tests hold the scheduler to it.
     """
 
     name: str
@@ -69,7 +69,6 @@ class AuditSpec:
     cycles: Optional[int] = None
     """Total cycle budget (``None`` = unbounded)."""
     workers: int = 1
-    supervise: bool = False
     checkpoint_cycles: bool = False
     """Journal the in-flight cycle's crawl for mid-cycle kill/resume."""
     trace_cycles: bool = False
@@ -95,11 +94,6 @@ class AuditSpec:
             raise ValueError("cycles must be >= 1 or None")
         if self.retention_cycles is not None and self.retention_cycles < 1:
             raise ValueError("retention_cycles must be >= 1 or None")
-        if self.checkpoint_cycles and self.supervise:
-            raise ValueError(
-                "checkpoint_cycles and supervise cannot be combined "
-                "(supervision keeps shard snapshots in memory, not a journal)"
-            )
         if self.checkpoint_cycles and self.trace_cycles:
             raise ValueError(
                 "checkpoint_cycles and trace_cycles cannot be combined "
@@ -269,8 +263,10 @@ class AuditScheduler:
     ) -> CycleOutcome:
         """Run one audit's next cycle and journal it durably.
 
-        ``kill_specs`` (supervised audits only) murder workers at exact
-        points — recovery must leave the store byte-identical.
+        ``policy`` and ``kill_specs`` tune and murder the cycle's
+        supervised workers (even at ``workers=1``, the cycle then runs
+        in one killable worker process) — recovery must leave the store
+        byte-identical.
         ``record_hook`` is a test hook called per streamed record; an
         exception it raises aborts the cycle mid-flight *before*
         anything reaches the store, simulating a daemon kill.
@@ -279,8 +275,6 @@ class AuditScheduler:
         spec = audit.spec
         if audit.done:
             raise ValueError(f"audit {name!r} has exhausted its cycle budget")
-        if kill_specs and not spec.supervise:
-            raise ValueError("kill_specs require a supervised audit spec")
         cycle = audit.next_cycle
         config = spec.cycle_config(cycle)
         study = Study(config)
@@ -303,15 +297,15 @@ class AuditScheduler:
             if spec.trace_cycles
             else None
         )
-        if spec.supervise:
+        if policy is not None or kill_specs:
             from repro.parallel import run_parallel
 
             dataset = run_parallel(
                 study,
                 workers=spec.workers,
                 sink=sink,
+                checkpoint=checkpoint,
                 trace=trace,
-                supervise=True,
                 policy=policy,
                 kill_specs=tuple(kill_specs),
             )

@@ -183,7 +183,6 @@ class AuditService:
                     "done": audit.done,
                     "interval_minutes": spec.cycle_interval(),
                     "workers": spec.workers,
-                    "supervised": spec.supervise,
                     "alerts": len(audit.store.alerts()),
                     "series": series_status,
                 }

@@ -83,13 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the fault schedule (with --plan)",
     )
     run.add_argument(
-        "--supervise",
-        action="store_true",
-        help="run workers under repro.supervise: heartbeat monitoring, "
-        "crash/hang recovery, shard reassignment (incompatible with "
-        "--checkpoint)",
-    )
-    run.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -392,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill-workers",
         action="store_true",
         help="also crash/stall worker processes (adds worker-crash and "
-        "worker-stall faults to the plan and runs under repro.supervise; "
-        "prints the recovery ledger, fails if any result cell is lost "
-        "unaccounted)",
+        "worker-stall faults to the plan and runs the crawl in supervised "
+        "worker processes even at --workers 1; prints the recovery "
+        "ledger, fails if any result cell is lost unaccounted)",
     )
     chaos.add_argument(
         "--crash-rate",
@@ -721,10 +714,9 @@ def _cmd_run(args) -> int:
         checkpoint=args.checkpoint,
         trace=args.trace,
         events=args.events,
-        supervise=args.supervise,
     )
     dataset.save(args.out)
-    if args.supervise and study.supervisor is not None:
+    if study.supervisor is not None and not study.supervisor.clean:
         print(study.supervisor.render(limit=10), file=sys.stderr)
     print(
         f"collected {len(dataset)} pages ({len(study.failures)} failures) -> {args.out}",
@@ -1255,13 +1247,6 @@ def _cmd_chaos(args) -> int:
     if args.kill_workers:
         import dataclasses
 
-        if args.checkpoint:
-            print(
-                "--kill-workers keeps shard snapshots in memory and cannot "
-                "be combined with --checkpoint",
-                file=sys.stderr,
-            )
-            return 2
         plan = dataclasses.replace(
             plan,
             worker_crash_rate=args.crash_rate,
@@ -1300,7 +1285,10 @@ def _cmd_chaos(args) -> int:
         from repro.parallel import run_parallel
 
         dataset = run_parallel(
-            study, workers=args.workers, supervise=True, policy=policy
+            study,
+            workers=args.workers,
+            checkpoint=args.checkpoint,
+            policy=policy,
         )
     else:
         dataset = study.run(workers=args.workers, checkpoint=args.checkpoint)

@@ -293,12 +293,12 @@ class Study:
         self.treatments = self._build_treatments()
         self.failures: List[CrawlFailure] = []
         self.stats = CrawlStats()
-        # How many parallel workers had to rebuild this apparatus from
-        # the config instead of inheriting it (fork passes the built
-        # study; spawn falls back to pickling, then to rebuilding).
-        # Accumulated by the executor's merge; 0 on fork platforms.
+        # How many worker incarnations had to rebuild this apparatus
+        # from the config instead of inheriting it: every recovery
+        # incarnation, plus first incarnations under spawn when the
+        # study will not pickle.  0 on a clean fork run.
         self.worker_rebuilds = 0
-        # Set by repro.supervise when the run is supervised: the
+        # Set by repro.parallel on every multi-worker run: the
         # SupervisorReport (counters + recovery ledger).  Kept as a
         # plain attribute so this module never imports the supervisor.
         self.supervisor = None
@@ -342,7 +342,6 @@ class Study:
         checkpoint: Optional[str] = None,
         trace: Optional[str] = None,
         events: Optional[str] = None,
-        supervise: bool = False,
     ) -> SerpDataset:
         """Execute the full schedule and return the collected dataset.
 
@@ -352,12 +351,15 @@ class Study:
                 :meth:`~repro.core.datastore.IncrementalWriter.write`),
                 so long crawls persist as they go.
             workers: Number of crawl worker processes.  ``1`` runs the
-                schedule in-process; ``N > 1`` shards each lock-step
-                round across processes via :mod:`repro.parallel` and
-                merges the results back in canonical order — the
-                dataset, stats, and failures are byte-identical to the
-                sequential run (the parity tests pin this down).
-                Requires a freshly constructed :class:`Study`.
+                schedule in-process (its crash recovery is
+                ``checkpoint``); ``N > 1`` shards each lock-step round
+                across supervised processes via
+                :func:`repro.parallel.run_parallel`, which recovers dead
+                or hung workers, and merges the results back in
+                canonical order — the dataset, stats, and failures are
+                byte-identical to the sequential run (the parity tests
+                pin this down).  Requires a freshly constructed
+                :class:`Study`.
             checkpoint: Optional journal path.  Every completed round
                 is appended durably (outcomes + full engine/browser
                 state) before being released; if the file already holds
@@ -377,15 +379,6 @@ class Study:
                 is byte-identical for any ``workers`` count **and**
                 composes with ``checkpoint`` — a resumed run replays
                 the journaled rounds' events before crawling on.
-            supervise: Run under :mod:`repro.supervise`: worker
-                processes get heartbeat/exit-code monitoring, and a
-                crashed or hung worker's shard is re-executed from its
-                last snapshot (respawn or reassignment) with the merged
-                output still byte-identical.  Applies even at
-                ``workers=1`` (a single supervised worker still gets
-                crash recovery).  Cannot be combined with
-                ``checkpoint`` — supervision keeps shard snapshots in
-                memory instead of a journal.
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -395,7 +388,7 @@ class Study:
                 "journal does not carry spans, so a resumed run could not "
                 "rebuild the rounds crawled before the kill"
             )
-        if workers > 1 or supervise:
+        if workers > 1:
             from repro.parallel import run_parallel
 
             return run_parallel(
@@ -405,7 +398,6 @@ class Study:
                 checkpoint=checkpoint,
                 trace=trace,
                 events=events,
-                supervise=supervise,
             )
         dataset = SerpDataset()
         self._sink = sink
@@ -460,32 +452,40 @@ class Study:
 
         return build_study_registry(self, include_caches=include_caches)
 
+    def _open_journal(self, path: str, workers: int, dataset, event_builder):
+        """Open the round journal at ``path`` for a ``workers``-shard run.
+
+        A compatible journal's durable rounds are replayed into
+        ``dataset``, the failure log, the sink and ``event_builder`` in
+        canonical order; returns ``(writer, resume)``, where ``resume``
+        is ``None`` for a fresh journal.
+        """
+        fingerprint = self.checkpoint_fingerprint()
+        resume = load_checkpoint(
+            path, expected_fingerprint=fingerprint, workers=workers
+        )
+        if resume is None:
+            header = {
+                "version": CHECKPOINT_VERSION,
+                "workers": workers,
+                "fingerprint": fingerprint,
+            }
+            return CheckpointWriter.create(path, header), None
+        for ordinal, outcomes in enumerate(resume.rounds):
+            decoded = [deserialize_outcome(payload) for payload in outcomes]
+            self._commit_outcomes(dataset, decoded)
+            if event_builder is not None:
+                event_builder.add_round(ordinal, list(enumerate(decoded)))
+        return CheckpointWriter.append_to(path), resume
+
     def _run_checkpointed(
         self, dataset: SerpDataset, path: str, event_builder=None
     ) -> SerpDataset:
         """Sequential run with a durable round journal (see :meth:`run`)."""
-        fingerprint = self.checkpoint_fingerprint()
-        resume = load_checkpoint(path, expected_fingerprint=fingerprint, workers=1)
-        if resume is not None:
-            for ordinal, outcomes in enumerate(resume.rounds):
-                decoded = [deserialize_outcome(payload) for payload in outcomes]
-                self._commit_outcomes(dataset, decoded)
-                if event_builder is not None:
-                    event_builder.add_round(ordinal, list(enumerate(decoded)))
-            if resume.next_ordinal > 0:
-                self.restore_state(resume.worker_states[0])
-            writer = CheckpointWriter.append_to(path)
-            start = resume.next_ordinal
-        else:
-            writer = CheckpointWriter.create(
-                path,
-                {
-                    "version": CHECKPOINT_VERSION,
-                    "workers": 1,
-                    "fingerprint": fingerprint,
-                },
-            )
-            start = 0
+        writer, resume = self._open_journal(path, 1, dataset, event_builder)
+        start = resume.next_ordinal if resume is not None else 0
+        if start > 0:
+            self.restore_state(resume.worker_states[0])
         try:
             for scheduled in self.iter_rounds():
                 if scheduled.ordinal < start:
@@ -586,9 +586,8 @@ class Study:
         treatment_indices: List[int],
         *,
         on_round,
-        on_round_start=None,
+        on_round_start,
         start_ordinal: int = 0,
-        capture_state: bool = False,
         trace: bool = False,
     ) -> None:
         """Crawl only the given treatments through the full schedule.
@@ -599,18 +598,17 @@ class Study:
         ``on_round(ordinal, outcomes, state, spans)`` after each round
         with the list of ``(treatment_index, SerpRecord |
         CrawlFailure)`` in ascending treatment order.  ``state`` is
-        this shard's :meth:`capture_state` snapshot when
-        ``capture_state`` is set (checkpointed runs), else ``None``.
-        ``spans`` is the round's drained span trees when ``trace`` is
+        this shard's post-round :meth:`capture_state` snapshot (what
+        recovery and the checkpoint journal resume from).  ``spans`` is the round's drained span trees when ``trace`` is
         set, else ``None`` — span ids key on (trace id, round,
         treatment), so trees from different shards interleave into
         exactly the sequential trace.  Rounds before ``start_ordinal``
         are skipped — the resume path, which assumes
         :meth:`restore_state` was fed the matching snapshot.
         ``self.stats`` accumulates this shard's counters.
-        ``on_round_start(ordinal, timestamp_minutes)``, when given, is
-        called before each round is crawled — the supervisor's
-        virtual-time heartbeat hook.
+        ``on_round_start(ordinal, timestamp_minutes)`` is called before
+        each round is crawled — the supervisor's virtual-time heartbeat
+        hook.
         """
         from repro.batch import prewarm_round
 
@@ -621,15 +619,14 @@ class Study:
         for scheduled in self.iter_rounds():
             if scheduled.ordinal < start_ordinal:
                 continue
-            if on_round_start is not None:
-                on_round_start(scheduled.ordinal, scheduled.timestamp)
+            on_round_start(scheduled.ordinal, scheduled.timestamp)
             prewarm_round(self, scheduled.query, shard_treatments)
             self.tracer.begin_round(scheduled.ordinal)
             outcomes = [
                 (index, self._crawl_treatment(index, treatment, scheduled))
                 for index, treatment in shard
             ]
-            state = self.capture_state(scheduled.timestamp) if capture_state else None
+            state = self.capture_state(scheduled.timestamp)
             spans = self.tracer.drain() if trace else None
             on_round(scheduled.ordinal, outcomes, state, spans)
 

@@ -3,8 +3,8 @@
 Public surface:
 
 * :func:`run_parallel` — execute a :class:`~repro.core.runner.Study`
-  sharded over N worker processes, byte-identical to the sequential
-  run (reachable as ``Study.run(workers=N)``);
+  sharded over N supervised worker processes, byte-identical to the
+  sequential run (reachable as ``Study.run(workers=N)``);
 * :func:`plan_shards` / :class:`ShardPlan` — the machine-granular
   treatment partition the parity argument rests on;
 * :func:`run_crawl_bench` — the worker-count sweep behind
@@ -13,7 +13,6 @@ Public surface:
 
 from repro.parallel.executor import (
     ShardPlan,
-    WorkerFailure,
     plan_shards,
     run_parallel,
 )
@@ -28,7 +27,6 @@ from repro.parallel.bench import (
 
 __all__ = [
     "ShardPlan",
-    "WorkerFailure",
     "plan_shards",
     "run_parallel",
     "BenchCell",

@@ -175,13 +175,10 @@ class BenchReport:
     proves it never perturbs the dataset.  Both must stay
     byte-identical to the plain sequential run."""
     supervise_layer: Optional[dict] = None
-    """Supervision overhead: one clean run under ``supervise=True`` at
-    the sweep's largest worker count (heartbeats, snapshot capture, and
-    the parent-side watchdog all active, nothing failing), compared
-    against the same worker count unsupervised — plus a kill-and-
-    recover datapoint: the same run with a worker SIGKILLed at a round
-    boundary, measuring what one full recovery costs end-to-end.  Both
-    must stay byte-identical to the sequential baseline."""
+    """Recovery cost: the sweep's largest worker count with one worker
+    SIGKILLed at a round boundary, measuring what one full
+    detect-respawn-reexecute cycle costs end-to-end.  Must stay
+    byte-identical to the sequential baseline."""
 
     @property
     def parity_ok(self) -> bool:
@@ -201,13 +198,9 @@ class BenchReport:
                 and self.events_layer["enabled_byte_identical_to_sequential"]
             )
         if self.supervise_layer is not None:
-            ok = (
-                ok
-                and self.supervise_layer["byte_identical_to_sequential"]
-                and self.supervise_layer["kill_recover"][
-                    "byte_identical_to_sequential"
-                ]
-            )
+            ok = ok and self.supervise_layer["kill_recover"][
+                "byte_identical_to_sequential"
+            ]
         return ok
 
     def to_dict(self) -> dict:
@@ -284,15 +277,10 @@ class BenchReport:
             )
         if self.supervise_layer is not None:
             layer = self.supervise_layer
-            lines.append(
-                f"supervise layer (workers={layer['workers']}, clean): "
-                f"{layer['wall_seconds']:.2f}s, "
-                f"{layer['overhead_pct_vs_unsupervised']:+.1f}% vs unsupervised, "
-                f"parity {'ok' if layer['byte_identical_to_sequential'] else 'FAIL'}"
-            )
             kill = layer["kill_recover"]
             lines.append(
-                f"supervise layer (one worker killed): "
+                f"supervise layer (workers={layer['workers']}, one worker "
+                f"killed): "
                 f"{kill['wall_seconds']:.2f}s, {kill['recoveries']} recovery, "
                 f"parity "
                 f"{'ok' if kill['byte_identical_to_sequential'] else 'FAIL'}"
@@ -423,8 +411,8 @@ def run_crawl_bench(
 
     The workers=1 cell runs the plain sequential path and its dataset
     digest is the parity baseline; every other cell runs through the
-    parallel executor.  Each cell — including the fault/obs/supervise
-    layer probes — is measured ``repeats`` times with the repeats
+    parallel executor.  Each cell — including the fault/obs/events
+    layer probes and the kill-and-recover cell — is measured ``repeats`` times with the repeats
     interleaved across cells (see the module docstring for why), and
     parity is checked on *every* run.  When ``out`` is given the report
     is appended to the trajectory file there.
@@ -555,22 +543,9 @@ def run_crawl_bench(
             "events-on", wall, dataset_digest(dataset), events=len(events)
         )
 
-    # Supervision overhead: heartbeats + per-round snapshot capture +
-    # the parent watchdog, measured clean against the same worker count
-    # unsupervised, then once more with a worker murdered at a round
-    # boundary to price a full detect-respawn-reexecute cycle.
+    # Recovery cost: a worker murdered at a round boundary prices a full
+    # detect-respawn-reexecute cycle (clean runs are the w>1 cells).
     supervise_workers = max((w for w in worker_counts if w > 1), default=2)
-
-    def run_sup() -> None:
-        study = Study(config)
-        started = time.perf_counter()
-        dataset = run_parallel(
-            study,
-            workers=supervise_workers,
-            supervise=True,
-            start_method=start_method,
-        )
-        record("sup", time.perf_counter() - started, dataset_digest(dataset))
 
     def run_kill() -> None:
         study = Study(config)
@@ -578,7 +553,6 @@ def run_crawl_bench(
         dataset = run_parallel(
             study,
             workers=supervise_workers,
-            supervise=True,
             start_method=start_method,
             kill_specs=(KillSpec(shard=0, ordinal=1),),
         )
@@ -596,7 +570,6 @@ def run_crawl_bench(
         run_traced,
         run_events_off,
         run_events_on,
-        run_sup,
         run_kill,
     ]
     for _ in range(repeats):
@@ -673,21 +646,9 @@ def run_crawl_bench(
         "enabled_byte_identical_to_sequential": infos["events-on"]["parity"],
     }
 
-    unsup_med = (
-        agg(f"w{supervise_workers}")[1]
-        if f"w{supervise_workers}" in walls
-        else w1_med
-    )
-    sup_min, sup_med = agg("sup")
     kill_min, kill_med = agg("kill")
     report.supervise_layer = {
         "workers": supervise_workers,
-        "wall_seconds": round(sup_min, 4),
-        "wall_seconds_median": round(sup_med, 4),
-        "overhead_pct_vs_unsupervised": round(
-            100.0 * (sup_med - unsup_med) / unsup_med, 2
-        ),
-        "byte_identical_to_sequential": infos["sup"]["parity"],
         "kill_recover": {
             "wall_seconds": round(kill_min, 4),
             "wall_seconds_median": round(kill_med, 4),

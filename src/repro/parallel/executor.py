@@ -3,7 +3,9 @@
 The paper's crawl ran on 44 machines precisely because lock-step
 rounds are embarrassingly parallel: within a round, every treatment
 issues the same query independently.  This executor exploits the same
-structure on one host.
+structure on one host, and keeps the fleet's other property — a dead
+machine rejoins without spoiling the rest — through the supervisor in
+:mod:`repro.supervise`, which every multi-worker run goes through.
 
 Design
 ------
@@ -24,11 +26,11 @@ Design
   (world, caches — shared bytes, never diverge) or freshly zeroed
   serving state (sessions, rate-limiter windows, nonce counters — the
   state a rebuilt worker would start with anyway), so shard output is
-  byte-identical to the rebuild-from-config strategy this replaces.
-  Only if the study will not pickle does a spawn worker fall back to
-  rebuilding from the :class:`StudyConfig`; ``Study.worker_rebuilds``
-  counts how many workers took that path (0 on fork platforms — the
-  invariant the tests pin).
+  byte-identical to rebuilding from the config.  Workers rebuild only
+  to recover a shard (the inherited object was advanced by the
+  incarnation that died) or when the study will not pickle under
+  ``spawn``; ``Study.worker_rebuilds`` counts both (0 on a clean fork
+  run — the invariant the tests pin).
 * **Everything else is request-determined.**  Nonces derive from
   (browser id, per-browser ordinal); DNS rotation keys on the nonce;
   per-datacenter index skew keys on the DNS-resolved frontend IP;
@@ -39,67 +41,38 @@ Design
   each round's outcomes sorted by treatment index — the exact order
   the sequential loop produces.  :class:`CrawlStats` counters are sums
   and merge associatively.
-* **Checkpoints are merge-time.**  Under ``checkpoint=path`` each
-  worker ships its :meth:`Study.capture_state` snapshot with every
-  round; the parent journals a round (outcomes + all worker states)
+* **Checkpoints are merge-time.**  Every worker ships its
+  :meth:`Study.capture_state` snapshot with every round (the
+  supervisor recovers dead workers from it); under ``checkpoint=path``
+  the parent also journals a round (outcomes + all shard states)
   durably *before* releasing it to the dataset and sink.  On resume,
-  every worker restores its own shard snapshot and re-enters the
-  schedule at the first un-journalled round — a worker that had raced
-  ahead of the durable prefix simply re-crawls, byte-identically,
-  because its state was reset to the prefix boundary.
+  every shard restores its own snapshot and re-enters the schedule at
+  the first un-journalled round — a worker that had raced ahead of the
+  durable prefix simply re-crawls, byte-identically, because its state
+  was reset to the prefix boundary.
 
 The result: ``SerpDataset``, ``CrawlStats``, and the failure list are
 byte-identical to ``Study.run()`` on a single core, for any worker
 count, with or without the serving gateway in the path, and with or
-without a kill-and-resume in between.
+without worker deaths or a kill-and-resume in between.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
-import queue as queue_module
-import traceback
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.datastore import SerpDataset, SerpRecord
-from repro.core.runner import Study, deserialize_outcome, serialize_outcome
-from repro.faults.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointWriter,
-    load_checkpoint,
-)
+from repro.core.datastore import SerpDataset
+from repro.core.runner import Study
+from repro.supervise.stats import SupervisorReport
+from repro.supervise.supervisor import KillSpec, SupervisorPolicy, _Supervisor
 
-__all__ = ["ShardPlan", "WorkerFailure", "plan_shards", "run_parallel"]
+__all__ = ["ShardPlan", "plan_shards", "run_parallel"]
 
 #: Per-worker message-queue slack before backpressure kicks in.
 _QUEUE_DEPTH_PER_WORKER = 8
-
-#: Seconds between liveness checks while waiting on worker messages.
-_POLL_SECONDS = 1.0
-
-
-class WorkerFailure(RuntimeError):
-    """A crawl worker process died before completing its shard.
-
-    Raised by the *unsupervised* parallel path (``Study.run(workers=N)``
-    without ``supervise=True``), where a dead worker is unrecoverable:
-    the run fails fast and structured — worker id, exit code, and the
-    shard's treatment indices — instead of blocking on a pipe that will
-    never produce.  Supervised runs recover instead of raising; see
-    :mod:`repro.supervise`.
-    """
-
-    def __init__(self, worker_id: int, exit_code: Optional[int], shard) -> None:
-        self.worker_id = worker_id
-        self.exit_code = exit_code
-        self.shard: Tuple[int, ...] = tuple(shard)
-        super().__init__(
-            f"crawl worker {worker_id} (treatments {list(self.shard)}) died "
-            f"with exit code {exit_code} before completing its shard; "
-            "run with supervise=True for automatic recovery"
-        )
 
 
 @dataclass(frozen=True)
@@ -151,59 +124,10 @@ def plan_shards(
 
 
 def _preferred_start_method() -> str:
-    """``fork`` where the platform offers it (cheap, inherits nothing
-    mutable that matters — workers rebuild from the config), else the
-    platform default."""
+    """``fork`` where the platform offers it (cheap: workers inherit the
+    parent's warmed study copy-on-write), else the platform default."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else methods[0]
-
-
-def _worker_main(
-    worker_id: int,
-    payload,
-    indices,
-    result_queue,
-    start_ordinal: int = 0,
-    worker_state=None,
-    capture: bool = False,
-    trace: bool = False,
-) -> None:
-    """Worker entry point: take the study, crawl the shard, stream rounds.
-
-    ``payload`` is normally the parent's built-and-warmed :class:`Study`
-    (inherited copy-on-write under ``fork``, arriving pickled under
-    ``spawn``); a :class:`StudyConfig` arrives only on the rebuild
-    fallback, and the final ``done`` message reports which path ran.
-
-    On resume (``start_ordinal > 0``) the worker restores its own shard
-    snapshot before crawling, so its engine/browser/stats state is
-    exactly what it was at the durable checkpoint boundary.  With
-    ``trace`` set, each round message carries the shard's span trees;
-    span identities derive from (trace id, round, treatment), so the
-    parent can interleave trees from all shards into the canonical
-    sequential trace.
-    """
-    try:
-        rebuilt = not isinstance(payload, Study)
-        study = Study(payload) if rebuilt else payload
-        if worker_state is not None:
-            study.restore_state(worker_state)
-
-        def emit(ordinal: int, outcomes, state, spans) -> None:
-            result_queue.put(("round", worker_id, ordinal, outcomes, state, spans))
-
-        study.run_shard(
-            list(indices),
-            on_round=emit,
-            start_ordinal=start_ordinal,
-            capture_state=capture,
-            trace=trace,
-        )
-        result_queue.put(
-            ("done", worker_id, study.stats, study.fault_stats, rebuilt)
-        )
-    except BaseException:  # propagate everything, including KeyboardInterrupt
-        result_queue.put(("error", worker_id, traceback.format_exc()))
 
 
 def run_parallel(
@@ -215,77 +139,58 @@ def run_parallel(
     checkpoint: Optional[str] = None,
     trace: Optional[str] = None,
     events: Optional[str] = None,
-    supervise: bool = False,
-    policy=None,
-    kill_specs=(),
+    policy: Optional[SupervisorPolicy] = None,
+    kill_specs: Sequence[KillSpec] = (),
 ) -> SerpDataset:
-    """Run ``study``'s full schedule sharded across worker processes.
+    """Run ``study``'s full schedule sharded across supervised workers.
 
     The parent merges worker results back in canonical (round,
     treatment) order, feeds ``sink`` record-by-record in that order,
     and leaves ``study.stats`` / ``study.failures`` holding the merged
     counters — exactly the observable state a sequential
-    :meth:`Study.run` leaves behind.
+    :meth:`Study.run` leaves behind.  Crashed, hung or erroring workers
+    are recovered (see :mod:`repro.supervise`); the
+    :class:`~repro.supervise.SupervisorReport` (counters + ordered
+    recovery ledger) is left on ``study.supervisor``.
 
     Args:
         study: A freshly constructed study (its browsers must not have
             issued any requests — per-browser nonce streams restart in
             each worker).
         workers: Requested worker count; the effective count is
-            clamped to the number of occupied crawl machines.
+            clamped to the number of occupied crawl machines.  Even
+            ``1`` runs in a separate, killable worker process.
         sink: Optional per-record callable, as in :meth:`Study.run`.
         start_method: ``multiprocessing`` start method override
             (default: ``fork`` when available).
         checkpoint: Optional journal path, as in :meth:`Study.run`.
-            Rounds become durable only once *every* worker has reported
-            them; on resume all workers restart from the durable
-            boundary with their shard state restored.  The journal
-            records the effective worker count and refuses to resume
-            under a different one (per-worker snapshots only fit the
-            shard layout that produced them).
+            Rounds become durable only once *every* shard has reported
+            them; on resume all shards restart from the durable
+            boundary with their state restored.  The journal records
+            the effective worker count and refuses to resume under a
+            different one (per-shard snapshots only fit the shard
+            layout that produced them).
         trace: Optional canonical trace path, as in :meth:`Study.run`.
             Workers ship per-round span trees; the parent merges them
             through the same :class:`~repro.obs.exporters.TraceBuilder`
             the sequential run uses, so the file is byte-identical for
-            any worker count.  Mutually exclusive with ``checkpoint``.
+            any worker count.  Recovery events are appended as
+            ``supervisor.*`` spans under the study root.  Mutually
+            exclusive with ``checkpoint``.
         events: Optional canonical wide-event log path, as in
             :meth:`Study.run`.  Crawl events are synthesized from the
             merged outcome stream at flush time (the parent-side
             builder pattern), so the file is byte-identical for any
-            worker count and composes with ``checkpoint``.
-        supervise: Delegate to :func:`repro.supervise.run_supervised`:
-            workers are heartbeat-monitored, and crashed/hung workers'
-            shards are re-executed from their last snapshot instead of
-            failing the run.  Mutually exclusive with ``checkpoint``
-            (supervision keeps shard snapshots in memory).
-        policy: Optional :class:`~repro.supervise.SupervisorPolicy`
-            (supervised runs only).
-        kill_specs: Optional :class:`~repro.supervise.KillSpec` murder
-            points (supervised runs only — tests and the chaos CLI).
+            worker count, across recoveries, and composes with
+            ``checkpoint``.
+        policy: Detection/recovery knobs (default
+            :class:`~repro.supervise.SupervisorPolicy`).
+        kill_specs: :class:`~repro.supervise.KillSpec` murder points
+            (tests and the chaos CLI).
 
     Returns:
         The merged :class:`SerpDataset`.
     """
-    if supervise:
-        if checkpoint is not None:
-            raise ValueError(
-                "supervise and checkpoint cannot be combined: supervised "
-                "runs keep shard snapshots in memory, not in a journal"
-            )
-        from repro.supervise import run_supervised
-
-        return run_supervised(
-            study,
-            workers=workers,
-            sink=sink,
-            start_method=start_method,
-            trace=trace,
-            events=events,
-            policy=policy,
-            kill_specs=kill_specs,
-        )
-    if policy is not None or kill_specs:
-        raise ValueError("policy/kill_specs require supervise=True")
     if study.stats.requests or study.failures:
         raise ValueError(
             "parallel run requires a freshly constructed Study "
@@ -296,215 +201,67 @@ def run_parallel(
             "trace and checkpoint cannot be combined: the checkpoint "
             "journal does not carry spans"
         )
-    plan = plan_shards(
-        len(study.treatments), len(study.fleet), workers
-    )
-
-    writer = None
-    start_ordinal = 0
-    worker_states: dict = {}
+    plan = plan_shards(len(study.treatments), len(study.fleet), workers)
+    report = SupervisorReport(workers=plan.workers)
+    study.supervisor = report
     dataset = SerpDataset()
-    event_builder = study._events_builder(events) if events is not None else None
-    if checkpoint is not None:
-        fingerprint = study.checkpoint_fingerprint()
-        resume = load_checkpoint(
-            checkpoint, expected_fingerprint=fingerprint, workers=plan.workers
-        )
-        if resume is not None:
-            for ordinal, outcomes in enumerate(resume.rounds):
-                decoded = [deserialize_outcome(payload) for payload in outcomes]
-                for outcome in decoded:
-                    if isinstance(outcome, SerpRecord):
-                        dataset.add(outcome)
-                        if sink is not None:
-                            sink(outcome)
-                    else:
-                        study.failures.append(outcome)
-                if event_builder is not None:
-                    event_builder.add_round(ordinal, list(enumerate(decoded)))
-            start_ordinal = resume.next_ordinal
-            worker_states = resume.worker_states
-            writer = CheckpointWriter.append_to(checkpoint)
-        else:
-            writer = CheckpointWriter.create(
-                checkpoint,
-                {
-                    "version": CHECKPOINT_VERSION,
-                    "workers": plan.workers,
-                    "fingerprint": fingerprint,
-                },
-            )
-
-    builder = study._trace_builder(trace) if trace is not None else None
-    context = multiprocessing.get_context(start_method or _preferred_start_method())
-    # Zero-rebuild delivery: warm every pure cache once in the parent,
-    # then hand workers the built study itself — inherited copy-on-write
-    # under fork, pickled by multiprocessing under spawn.  Only a study
-    # that cannot pickle makes spawn workers rebuild from the config
-    # (study.worker_rebuilds counts those).
-    payload = study
-    study.prefork_warmup()
-    if context.get_start_method() != "fork":
-        try:
-            pickle.dumps(study)
-        except Exception:
-            payload = study.config
-    result_queue = context.Queue(maxsize=plan.workers * _QUEUE_DEPTH_PER_WORKER)
-    processes = [
-        context.Process(
-            target=_worker_main,
-            args=(
-                worker_id,
-                payload,
-                plan.assignments[worker_id],
-                result_queue,
-                start_ordinal,
-                worker_states.get(worker_id),
-                checkpoint is not None,
-                trace is not None,
-            ),
-            name=f"crawl-worker-{worker_id}",
-            daemon=True,
-        )
-        for worker_id in range(plan.workers)
-    ]
-    for process in processes:
-        process.start()
-
+    study._sink = sink
+    writer = resume = builder = event_builder = supervisor = None
     try:
-        _merge(
+        if events is not None:
+            event_builder = study._events_builder(events)
+        if checkpoint is not None:
+            writer, resume = study._open_journal(
+                checkpoint, plan.workers, dataset, event_builder
+            )
+        if trace is not None:
+            builder = study._trace_builder(trace)
+        context = multiprocessing.get_context(
+            start_method or _preferred_start_method()
+        )
+        # Zero-rebuild delivery: warm every pure cache once in the
+        # parent, then hand first-generation workers the built study
+        # itself — inherited copy-on-write under fork, pickled by
+        # multiprocessing under spawn.  Only a study that cannot pickle
+        # makes spawn workers rebuild from the config.
+        payload = study
+        study.prefork_warmup()
+        if context.get_start_method() != "fork":
+            try:
+                pickle.dumps(study)
+            except Exception:
+                payload = study.config
+        supervisor = _Supervisor(
             study,
             plan,
-            processes,
-            result_queue,
-            dataset,
-            sink,
-            start_ordinal=start_ordinal,
+            policy or SupervisorPolicy(),
+            report,
+            context,
+            context.Queue(maxsize=plan.workers * _QUEUE_DEPTH_PER_WORKER),
+            payload=payload,
+            dataset=dataset,
             writer=writer,
+            resume=resume,
             builder=builder,
             event_builder=event_builder,
+            kill_specs=tuple(kill_specs),
         )
+        supervisor.run()
     finally:
+        study._sink = None
         if writer is not None:
             writer.close()
         if builder is not None:
+            if report.events:
+                builder.add_trees(
+                    supervisor.event_trees(
+                        builder.trace_id, study.tracer.study_span_id()
+                    )
+                )
             builder.close()
             study.tracer.disable()
         if event_builder is not None:
             event_builder.close()
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join()
+        if supervisor is not None:
+            supervisor.shutdown()
     return dataset
-
-
-def _merge(
-    study,
-    plan,
-    processes,
-    result_queue,
-    dataset,
-    sink,
-    *,
-    start_ordinal: int = 0,
-    writer=None,
-    builder=None,
-    event_builder=None,
-) -> None:
-    """Drain worker messages, flushing rounds in canonical order.
-
-    With a ``writer``, each round is journalled durably (outcomes in
-    canonical order plus every worker's state snapshot) *before* its
-    records reach the dataset and sink — the invariant that makes a
-    kill at any instant recoverable without losing acknowledged
-    records.  With a ``builder``, each flushed round's span trees (from
-    all shards) are handed to the trace builder, which sorts them into
-    canonical treatment order and writes the round — the same code path
-    a sequential traced run takes.
-    """
-    total_rounds = study.round_count()
-    pending: dict = {}  # ordinal -> list of (treatment_index, outcome)
-    states: dict = {}  # ordinal -> {worker_id: state snapshot}
-    spans: dict = {}  # ordinal -> list of span trees from all shards
-    arrivals: dict = {}  # ordinal -> how many workers have reported
-    next_ordinal = start_ordinal
-    done_workers: set = set()
-
-    def flush_ready() -> None:
-        nonlocal next_ordinal
-        while arrivals.get(next_ordinal, 0) == plan.workers:
-            outcomes = sorted(pending.pop(next_ordinal), key=lambda pair: pair[0])
-            round_states = states.pop(next_ordinal, None)
-            round_spans = spans.pop(next_ordinal, None)
-            del arrivals[next_ordinal]
-            if writer is not None:
-                writer.append_round(
-                    next_ordinal,
-                    [serialize_outcome(outcome) for _, outcome in outcomes],
-                    round_states or {},
-                )
-            if builder is not None:
-                builder.add_round(next_ordinal, round_spans or [])
-            if event_builder is not None:
-                event_builder.add_round(next_ordinal, outcomes)
-            for _, outcome in outcomes:
-                if isinstance(outcome, SerpRecord):
-                    dataset.add(outcome)
-                    if sink is not None:
-                        sink(outcome)
-                else:
-                    study.failures.append(outcome)
-            next_ordinal += 1
-
-    def handle(message) -> None:
-        kind = message[0]
-        if kind == "round":
-            _, worker_id, ordinal, outcomes, state, round_spans = message
-            pending.setdefault(ordinal, []).extend(outcomes)
-            if state is not None:
-                states.setdefault(ordinal, {})[worker_id] = state
-            if round_spans is not None:
-                spans.setdefault(ordinal, []).extend(round_spans)
-            arrivals[ordinal] = arrivals.get(ordinal, 0) + 1
-            flush_ready()
-        elif kind == "done":
-            study.stats.merge(message[2])
-            study.fault_stats.merge(message[3])
-            if message[4]:
-                study.worker_rebuilds += 1
-            done_workers.add(message[1])
-        else:  # "error"
-            raise RuntimeError(
-                f"crawl worker {message[1]} failed:\n{message[2]}"
-            )
-
-    while len(done_workers) < plan.workers:
-        try:
-            message = result_queue.get(timeout=_POLL_SECONDS)
-        except queue_module.Empty:
-            for worker_id, process in enumerate(processes):
-                if worker_id in done_workers or process.exitcode is None:
-                    continue
-                # The process is gone but may have raced its final
-                # messages onto the queue — drain before judging, so a
-                # worker that finished and exited cleanly is not
-                # misreported (and so the failure points at the true
-                # resume position).
-                try:
-                    while worker_id not in done_workers:
-                        handle(result_queue.get_nowait())
-                except queue_module.Empty:
-                    pass
-                if worker_id not in done_workers:
-                    raise WorkerFailure(
-                        worker_id, process.exitcode, plan.assignments[worker_id]
-                    )
-            continue
-        handle(message)
-    flush_ready()
-    if next_ordinal != total_rounds:
-        raise RuntimeError(
-            f"merge incomplete: flushed {next_ordinal} of {total_rounds} rounds"
-        )

@@ -1,10 +1,10 @@
-"""Self-healing supervision for parallel crawls and the serve gateway.
+"""Self-healing supervision for parallel crawls.
 
-Public surface:
+Every multi-worker run (:func:`repro.parallel.run_parallel`, reachable
+as ``Study.run(workers=N)``) executes under the supervisor in
+:mod:`repro.supervise.supervisor`: crash/hang detection, deterministic
+recovery, quarantine, and the round journal.  Public surface:
 
-* :func:`run_supervised` — execute a study sharded across supervised
-  worker processes with crash/hang detection, deterministic recovery,
-  and quarantine (reachable as ``Study.run(workers=N, supervise=True)``);
 * :class:`SupervisorPolicy` — detection/recovery knobs;
 * :class:`KillSpec` — reproducible worker-murder points for tests and
   the ``repro chaos --kill-workers`` CLI;
@@ -17,11 +17,7 @@ from repro.supervise.stats import (
     SupervisorReport,
     SupervisorStats,
 )
-from repro.supervise.supervisor import (
-    KillSpec,
-    SupervisorPolicy,
-    run_supervised,
-)
+from repro.supervise.supervisor import KillSpec, SupervisorPolicy
 
 __all__ = [
     "KillSpec",
@@ -29,5 +25,4 @@ __all__ = [
     "SupervisorPolicy",
     "SupervisorReport",
     "SupervisorStats",
-    "run_supervised",
 ]

@@ -25,7 +25,7 @@ __all__ = ["SupervisorStats", "SupervisorEvent", "SupervisorReport"]
 
 @dataclass
 class SupervisorStats(MetricSet):
-    """Counters for one supervised parallel run."""
+    """Counters for one parallel run."""
 
     heartbeats: int = 0
     """Liveness messages received (one per worker per round start)."""
@@ -64,7 +64,7 @@ class SupervisorEvent:
     worker: int
     """Worker slot the event concerns."""
     shard: int
-    """Shard (== unsupervised worker id) the event concerns."""
+    """Shard (== worker id at the start of the run) the event concerns."""
     generation: int
     """How many times this shard had failed when the event fired."""
     resume_ordinal: int
@@ -77,7 +77,7 @@ class SupervisorEvent:
 
 @dataclass
 class SupervisorReport:
-    """What a supervised run leaves behind: counters + ordered ledger."""
+    """What a parallel run leaves behind: counters + ordered ledger."""
 
     workers: int
     """Worker slots the run started with."""

@@ -1,23 +1,30 @@
-"""Self-healing parallel execution: supervise, detect, recover.
+"""Self-healing parallel execution: the one crawl executor.
 
 The paper's 44-machine lock-step crawl only worked because a dead
 machine could be re-imaged and rejoined without invalidating the other
-43.  This module gives ``Study.run(workers=N, supervise=True)`` the
-same property on one host: worker processes are monitored, failures
-are classified, and the failed worker's shard is re-executed from its
-last state snapshot — on a respawned process or reassigned to a
-surviving worker — with the merged dataset staying byte-identical to
-the sequential run.
+43.  Every multi-worker run (``Study.run(workers=N)``, i.e.
+:func:`repro.parallel.run_parallel`) has the same property on one host:
+worker processes are monitored, failures are classified, and the failed
+worker's shard is re-executed from its last state snapshot — on a
+respawned process or reassigned to a surviving worker — with the merged
+dataset staying byte-identical to the sequential run.
 
 Execution model
 ---------------
-Supervised workers are *shard executors*, not one-shot processes: each
-worker loops on a private command queue, receiving ``("run", shard,
-indices, start_ordinal, state, generation)`` assignments and streaming
-results back over the shared result queue.  That is what makes
-reassignment cheap — handing a dead worker's shard to an idle survivor
-is just another command, no new process required — and what lets the
-pool degrade gracefully from N workers to N−1 … 1.
+Workers are *shard executors*, not one-shot processes: each worker
+loops on a private command queue, receiving ``("run", shard, indices,
+start_ordinal, state, generation)`` assignments and streaming results
+back over the shared result queue.  That is what makes reassignment
+cheap — handing a dead worker's shard to an idle survivor is just
+another command, no new process required — and what lets the pool
+degrade gracefully from N workers to N−1 … 1.
+
+A shard's first incarnation (generation 0) crawls the study the worker
+*inherited*: the parent's built-and-warmed study, copy-on-write under
+``fork`` or pickled under ``spawn``.  Recovery incarnations (generation
+≥ 1) rebuild a fresh :class:`Study` from the config and restore the
+shard's snapshot, because the inherited object was already advanced by
+the incarnation that died.
 
 Detection
 ---------
@@ -48,6 +55,15 @@ prefix is kept, every remaining (round × treatment) cell becomes a
 structured ``CrawlFailure(kind="shard-quarantined")``, and the hole
 stays visible in ``per_location_coverage`` — never silent loss.
 
+Journal
+-------
+With a checkpoint writer, a round is journalled at flush time —
+outcomes in canonical order plus every shard's post-round snapshot —
+*before* it is released to the dataset and sink.  A quarantined shard's
+state line carries a ``quarantine`` marker (resume point and failure
+count), so a resumed run re-quarantines the shard instead of replaying
+its stale snapshot.
+
 Determinism under test
 ----------------------
 :class:`KillSpec` murders workers at exact points (round boundary or
@@ -69,25 +85,18 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.datastore import SerpDataset, SerpRecord
-from repro.core.runner import CrawlFailure, CrawlStats, Study
+from repro.core.datastore import SerpDataset
+from repro.core.runner import CrawlFailure, CrawlStats, Study, serialize_outcome
 from repro.faults.injector import FaultStats
 from repro.seeding import stable_hash
 from repro.supervise.stats import SupervisorEvent, SupervisorReport
 
-__all__ = [
-    "KillSpec",
-    "SupervisorPolicy",
-    "run_supervised",
-]
+__all__ = ["KillSpec", "SupervisorPolicy"]
 
 #: Exit codes chosen by injected kills (visible in ledger details).
 _BOUNDARY_CRASH_EXIT = 73
 _MIDROUND_CRASH_EXIT = 74
 _PLAN_CRASH_EXIT = 57
-
-#: Per-worker message-queue slack before backpressure kicks in.
-_QUEUE_DEPTH_PER_WORKER = 8
 
 
 @dataclass(frozen=True)
@@ -174,7 +183,7 @@ class KillSpec:
 
 
 class _WorkerHarness:
-    """One shard execution inside a supervised worker.
+    """One shard execution inside a worker process.
 
     Bridges three things into the running :class:`Study`:
     heartbeats/results onto the parent's queue, :class:`KillSpec`
@@ -206,7 +215,7 @@ class _WorkerHarness:
 
     def arm(self, study: Study) -> None:
         network = study.network
-        # Plan-driven worker faults fire only inside supervised workers:
+        # Plan-driven worker faults fire only inside worker processes:
         # the injector consults this context (when the plan carries
         # worker rates) before dispatching each request.
         network.worker_context = self
@@ -278,28 +287,43 @@ class _WorkerHarness:
         os._exit(_BOUNDARY_CRASH_EXIT if flush else _MIDROUND_CRASH_EXIT)
 
 
-def _supervised_worker_main(
+def _inherits(payload, generation: int) -> bool:
+    """Whether an incarnation crawls the worker's inherited study.
+
+    Only a shard's first incarnation may: a recovery incarnation
+    follows one that already advanced the inherited object, and a
+    :class:`StudyConfig` payload (a study that would not pickle under
+    ``spawn``) has nothing to inherit.
+    """
+    return generation == 0 and isinstance(payload, Study)
+
+
+def _worker_loop(
     worker_id: int,
-    config,
+    payload,
     result_queue,
     command_queue,
     kill_specs: Tuple[KillSpec, ...],
     trace: bool,
 ) -> None:
-    """Supervised worker loop: execute shard assignments until told to exit.
+    """Worker loop: execute shard assignments until told to exit.
 
-    Each assignment rebuilds a fresh :class:`Study` (cheap — everything
-    derives from the config seed) and restores the shard's snapshot if
-    one is given, so a reassigned or respawned shard resumes exactly
-    where its previous incarnation's last *accepted* round left off.
+    ``payload`` is the parent's built-and-warmed :class:`Study` (or its
+    :class:`StudyConfig` on the rebuild fallback and in respawned
+    workers).  A generation-0 assignment crawls the inherited study
+    as-is; later generations rebuild from the config.  Either way the
+    shard's snapshot, if one is given, is restored first, so a resumed,
+    reassigned or respawned shard continues exactly where the last
+    *accepted* round left off.
     """
+    config = payload.config if isinstance(payload, Study) else payload
     while True:
         command = command_queue.get()
         if command[0] == "exit":
             return
         _, shard_id, indices, start_ordinal, state, generation = command
         try:
-            study = Study(config)
+            study = payload if _inherits(payload, generation) else Study(config)
             if state is not None:
                 study.restore_state(state)
             harness = _WorkerHarness(
@@ -311,7 +335,6 @@ def _supervised_worker_main(
                 on_round=harness.emit_round,
                 on_round_start=harness.heartbeat,
                 start_ordinal=start_ordinal,
-                capture_state=True,
                 trace=trace,
             )
             result_queue.put(
@@ -348,6 +371,33 @@ class _ShardState:
     last_virtual: float = 0.0
     """Virtual minutes of the last heartbeat (schedule position)."""
 
+    @classmethod
+    def from_journal(
+        cls, shard_id: int, indices, next_ordinal: int, state: Optional[dict]
+    ) -> "_ShardState":
+        """The shard as a journal's durable prefix left it."""
+        if state is None or "quarantine" not in state:
+            return cls(shard_id, tuple(indices), next_ordinal, state)
+        snapshot = dict(state)
+        marker = snapshot.pop("quarantine")
+        return cls(
+            shard_id,
+            tuple(indices),
+            marker["next_ordinal"],
+            snapshot or None,
+            failures_since_progress=marker["failures"],
+            quarantined=True,
+        )
+
+    def journal_state(self) -> dict:
+        """This shard's state line once quarantined: the kept prefix's
+        snapshot plus the marker :meth:`from_journal` reads back."""
+        marker = {
+            "next_ordinal": self.next_ordinal,
+            "failures": self.failures_since_progress,
+        }
+        return dict(self.snapshot or {}, quarantine=marker)
+
 
 @dataclass
 class _WorkerSlot:
@@ -369,7 +419,13 @@ class _WorkerSlot:
 
 
 class _Supervisor:
-    """The parent-side supervision loop for one run."""
+    """The parent-side supervision loop for one run.
+
+    ``payload`` is what first-generation workers inherit (the warmed
+    study, or its config on the rebuild fallback); ``resume`` is the
+    journal's durable prefix, which seeds every shard's resume point
+    and snapshot.
+    """
 
     def __init__(
         self,
@@ -379,11 +435,14 @@ class _Supervisor:
         report: SupervisorReport,
         context,
         result_queue,
-        sink,
-        builder,
-        kill_specs: Tuple[KillSpec, ...],
-        trace: bool,
+        *,
+        payload,
+        dataset: SerpDataset,
+        writer=None,
+        resume=None,
+        builder=None,
         event_builder=None,
+        kill_specs: Tuple[KillSpec, ...] = (),
     ) -> None:
         self.study = study
         self.policy = policy
@@ -391,48 +450,56 @@ class _Supervisor:
         self.stats = report.stats
         self.context = context
         self.result_queue = result_queue
-        self.sink = sink
+        self.payload = payload
+        self.dataset = dataset
+        self.writer = writer
         self.builder = builder
         self.event_builder = event_builder
         self.kill_specs = kill_specs
-        self.trace = trace
         self.total_rounds = study.round_count()
-        self.shards = [
-            _ShardState(shard_id=i, indices=tuple(indices))
-            for i, indices in enumerate(plan.assignments)
-        ]
         self.slots: List[_WorkerSlot] = []
         self.orphans: deque = deque()
         self.respawns_used = 0
-        # Merge state, as in the unsupervised executor — except
-        # arrivals hold shard-id *sets* (a shard's round can arrive
-        # from any incarnation, but only once).
+        # Merge state: arrivals hold shard-id *sets* (a shard's round
+        # can arrive from any incarnation, but only once); round_states
+        # hold each shard's post-round snapshot until the round is
+        # journalled.
         self.pending: Dict[int, list] = {}
         self.spans: Dict[int, list] = {}
         self.arrivals: Dict[int, Set[int]] = {}
-        self.next_flush = 0
+        self.round_states: Dict[int, Dict[int, dict]] = {}
+        self.next_flush = resume.next_ordinal if resume is not None else 0
+        states = resume.worker_states if resume is not None else {}
+        self.shards = [
+            _ShardState.from_journal(i, indices, self.next_flush, states.get(i))
+            for i, indices in enumerate(plan.assignments)
+        ]
         self._all_shards = frozenset(s.shard_id for s in self.shards)
-        self.dataset: Optional[SerpDataset] = None
+        for shard in self.shards:
+            if shard.quarantined:
+                self.stats.quarantined_shards += 1
+                self._forfeit(shard)
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
         for shard in self.shards:
-            slot = self._spawn_slot(len(self.slots))
-            self.slots.append(slot)
-            self._assign(shard, slot)
+            if not shard.quarantined:
+                slot = self._spawn_slot(len(self.slots), self.payload)
+                self.slots.append(slot)
+                self._assign(shard, slot)
 
-    def _spawn_slot(self, worker_id: int) -> _WorkerSlot:
+    def _spawn_slot(self, worker_id: int, payload) -> _WorkerSlot:
         command_queue = self.context.Queue()
         process = self.context.Process(
-            target=_supervised_worker_main,
+            target=_worker_loop,
             args=(
                 worker_id,
-                self.study.config,
+                payload,
                 self.result_queue,
                 command_queue,
                 self.kill_specs,
-                self.trace,
+                self.builder is not None,
             ),
             name=f"crawl-worker-{worker_id}",
             daemon=True,
@@ -446,6 +513,10 @@ class _Supervisor:
         shard.worker = slot.worker_id
         slot.shard = shard.shard_id
         slot.last_message_wall = time.monotonic()
+        # Generation-0 assignments only ever go to the initial slots,
+        # which hold ``self.payload``; everything else rebuilds.
+        if not _inherits(self.payload, shard.generation):
+            self.study.worker_rebuilds += 1
         slot.command_queue.put(
             (
                 "run",
@@ -457,8 +528,7 @@ class _Supervisor:
             )
         )
 
-    def run(self, dataset: SerpDataset) -> None:
-        self.dataset = dataset
+    def run(self) -> None:
         self.start()
         while not all(s.done or s.quarantined for s in self.shards):
             try:
@@ -471,7 +541,7 @@ class _Supervisor:
         self._flush_ready()
         if self.next_flush != self.total_rounds:
             raise RuntimeError(
-                f"supervised merge incomplete: flushed {self.next_flush} "
+                f"merge incomplete: flushed {self.next_flush} "
                 f"of {self.total_rounds} rounds"
             )
 
@@ -513,6 +583,8 @@ class _Supervisor:
             self.pending.setdefault(ordinal, []).extend(outcomes)
             if round_spans is not None:
                 self.spans.setdefault(ordinal, []).extend(round_spans)
+            if self.writer is not None:
+                self.round_states.setdefault(ordinal, {})[shard_id] = state
             self.arrivals.setdefault(ordinal, set()).add(shard_id)
             shard.snapshot = state
             shard.next_ordinal = ordinal + 1
@@ -549,23 +621,31 @@ class _Supervisor:
         self.slots[worker_id].last_message_wall = time.monotonic()
 
     def _flush_ready(self) -> None:
+        """Release every round all shards have delivered, in order.
+
+        With a journal, the round (outcomes in canonical order plus
+        every shard's state) is durable *before* its records reach the
+        dataset and sink — a kill at any instant loses no acknowledged
+        record.
+        """
         while self.arrivals.get(self.next_flush) == self._all_shards:
-            outcomes = sorted(
-                self.pending.pop(self.next_flush), key=lambda pair: pair[0]
-            )
-            round_spans = self.spans.pop(self.next_flush, None)
-            del self.arrivals[self.next_flush]
+            ordinal = self.next_flush
+            outcomes = sorted(self.pending.pop(ordinal), key=lambda pair: pair[0])
+            round_spans = self.spans.pop(ordinal, None)
+            del self.arrivals[ordinal]
+            if self.writer is not None:
+                self.writer.append_round(
+                    ordinal,
+                    [serialize_outcome(outcome) for _, outcome in outcomes],
+                    self.round_states.pop(ordinal),
+                )
             if self.builder is not None:
-                self.builder.add_round(self.next_flush, round_spans or [])
+                self.builder.add_round(ordinal, round_spans or [])
             if self.event_builder is not None:
-                self.event_builder.add_round(self.next_flush, outcomes)
-            for _, outcome in outcomes:
-                if isinstance(outcome, SerpRecord):
-                    self.dataset.add(outcome)
-                    if self.sink is not None:
-                        self.sink(outcome)
-                else:
-                    self.study.failures.append(outcome)
+                self.event_builder.add_round(ordinal, outcomes)
+            self.study._commit_outcomes(
+                self.dataset, [outcome for _, outcome in outcomes]
+            )
             self.next_flush += 1
 
     # -- detection -----------------------------------------------------------
@@ -684,7 +764,9 @@ class _Supervisor:
     def _respawn(self, shard: _ShardState) -> None:
         self.respawns_used += 1
         self.stats.respawns += 1
-        slot = self._spawn_slot(len(self.slots))
+        # A replacement never runs a first incarnation, so it rebuilds
+        # from the config rather than inheriting (or unpickling) the study.
+        slot = self._spawn_slot(len(self.slots), self.study.config)
         self.slots.append(slot)
         self._assign(shard, slot)
         self._event(
@@ -722,14 +804,7 @@ class _Supervisor:
     # -- quarantine ----------------------------------------------------------
 
     def _quarantine(self, shard: _ShardState) -> None:
-        """Give up on a deterministically failing shard — loudly.
-
-        The crawled prefix is kept (stats from the last snapshot, rounds
-        already merged); every remaining (round × treatment) cell
-        becomes a structured failure that flows through
-        ``per_location_coverage`` like any other, so the hole is
-        visible, attributable, and never silent.
-        """
+        """Give up on a deterministically failing shard — loudly."""
         shard.quarantined = True
         self.stats.quarantined_shards += 1
         self._event(
@@ -740,6 +815,19 @@ class _Supervisor:
             f"without progress; rounds {shard.next_ordinal}.."
             f"{self.total_rounds - 1} forfeited",
         )
+        self._forfeit(shard)
+
+    def _forfeit(self, shard: _ShardState) -> None:
+        """Account a quarantined shard's kept prefix and lost rounds.
+
+        The crawled prefix is kept (stats from the last snapshot, rounds
+        already merged); every remaining (round × treatment) cell
+        becomes a structured failure that flows through
+        ``per_location_coverage`` like any other, so the hole is
+        visible, attributable, and never silent.  On resume the rounds
+        before ``next_flush`` were already replayed from the journal,
+        so only their counters are booked here.
+        """
         if shard.snapshot is not None:
             prefix_stats = CrawlStats()
             prefix_stats.restore_state(shard.snapshot["stats"])
@@ -751,12 +839,19 @@ class _Supervisor:
             f"shard {shard.shard_id} quarantined after "
             f"{shard.failures_since_progress} consecutive worker failures"
         )
+        state = shard.journal_state() if self.writer is not None else None
         for scheduled in self.study.iter_rounds():
-            if scheduled.ordinal < shard.next_ordinal:
+            ordinal = scheduled.ordinal
+            if ordinal < shard.next_ordinal:
                 continue
+            replayed = ordinal < self.next_flush
             for index in shard.indices:
+                self.study.stats.record_failure_kind("shard-quarantined")
+                self.stats.quarantined_failures += 1
+                if replayed:
+                    continue
                 treatment = self.study.treatments[index]
-                self.pending.setdefault(scheduled.ordinal, []).append(
+                self.pending.setdefault(ordinal, []).append(
                     (
                         index,
                         CrawlFailure(
@@ -769,9 +864,11 @@ class _Supervisor:
                         ),
                     )
                 )
-                self.study.stats.record_failure_kind("shard-quarantined")
-                self.stats.quarantined_failures += 1
-            self.arrivals.setdefault(scheduled.ordinal, set()).add(shard.shard_id)
+            if replayed:
+                continue
+            if state is not None:
+                self.round_states.setdefault(ordinal, {})[shard.shard_id] = state
+            self.arrivals.setdefault(ordinal, set()).add(shard.shard_id)
 
     # -- trace integration ---------------------------------------------------
 
@@ -802,87 +899,3 @@ class _Supervisor:
                 }
             )
         return trees
-
-
-def run_supervised(
-    study: Study,
-    *,
-    workers: int,
-    sink=None,
-    start_method: Optional[str] = None,
-    trace: Optional[str] = None,
-    events: Optional[str] = None,
-    policy: Optional[SupervisorPolicy] = None,
-    kill_specs: Sequence[KillSpec] = (),
-) -> SerpDataset:
-    """Run ``study`` sharded across supervised worker processes.
-
-    Behaves like :func:`repro.parallel.run_parallel` — byte-identical
-    merged dataset, stats, failures — but survives worker crashes,
-    hangs, and errors (see the module docstring for the model).  Leaves
-    the :class:`~repro.supervise.stats.SupervisorReport` on
-    ``study.supervisor`` (counters + ordered recovery ledger).
-
-    Args:
-        study: A freshly constructed study.
-        workers: Requested worker count (clamped to occupied machines).
-        sink: Optional per-record callable, as in :meth:`Study.run`.
-        start_method: ``multiprocessing`` start method override.
-        trace: Optional canonical trace path.  Recovery events are
-            appended as ``supervisor.*`` spans under the study root, so
-            a clean supervised trace is byte-identical to the
-            unsupervised one.
-        events: Optional wide-event log path.  Events are synthesized
-            from the merged outcome stream, so a supervised log is
-            byte-identical to the sequential one even across recoveries.
-        policy: Detection/recovery knobs (default
-            :class:`SupervisorPolicy`).
-        kill_specs: :class:`KillSpec` murder points (tests/chaos CLI).
-    """
-    from repro.parallel.executor import _preferred_start_method, plan_shards
-
-    if study.stats.requests or study.failures:
-        raise ValueError(
-            "supervised run requires a freshly constructed Study "
-            "(this one has already crawled)"
-        )
-    policy = policy or SupervisorPolicy()
-    plan = plan_shards(len(study.treatments), len(study.fleet), workers)
-    report = SupervisorReport(workers=plan.workers)
-    study.supervisor = report
-    builder = study._trace_builder(trace) if trace is not None else None
-    event_builder = study._events_builder(events) if events is not None else None
-    context = multiprocessing.get_context(
-        start_method or _preferred_start_method()
-    )
-    result_queue = context.Queue(maxsize=plan.workers * _QUEUE_DEPTH_PER_WORKER)
-    supervisor = _Supervisor(
-        study,
-        plan,
-        policy,
-        report,
-        context,
-        result_queue,
-        sink,
-        builder,
-        tuple(kill_specs),
-        trace is not None,
-        event_builder,
-    )
-    dataset = SerpDataset()
-    try:
-        supervisor.run(dataset)
-    finally:
-        if builder is not None:
-            if report.events:
-                builder.add_trees(
-                    supervisor.event_trees(
-                        builder.trace_id, study.tracer.study_span_id()
-                    )
-                )
-            builder.close()
-            study.tracer.disable()
-        if event_builder is not None:
-            event_builder.close()
-        supervisor.shutdown()
-    return dataset

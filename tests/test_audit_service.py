@@ -276,7 +276,7 @@ class TestDeterminism:
         assert ledger == baseline[1]
 
     def test_supervised_worker_kill_byte_identical(self, tmp_path, baseline):
-        spec = _spec(supervise=True, workers=2)
+        spec = _spec(workers=2)
         store_bytes, ledger = _run_cycles(
             tmp_path,
             "killed",
@@ -313,13 +313,6 @@ class TestSchedulerValidation:
             scheduler.register(_spec())
         scheduler.close()
 
-    def test_kill_specs_require_supervised_spec(self, tmp_path):
-        scheduler = AuditScheduler(str(tmp_path))
-        scheduler.register(_spec())
-        with pytest.raises(ValueError, match="supervised"):
-            scheduler.run_cycle("aud", kill_specs=(KillSpec(shard=0, ordinal=0),))
-        scheduler.close()
-
     def test_cycle_budget_enforced(self, tmp_path):
         scheduler = AuditScheduler(str(tmp_path))
         scheduler.register(_spec(cycles=1))
@@ -335,17 +328,13 @@ class TestSchedulerValidation:
             _spec(name="bad name!")
         with pytest.raises(ValueError, match="workers"):
             _spec(workers=0)
-        with pytest.raises(ValueError, match="supervise"):
-            _spec(checkpoint_cycles=True, supervise=True)
         with pytest.raises(ValueError, match="trace"):
             _spec(checkpoint_cycles=True, trace_cycles=True)
         with pytest.raises(ValueError, match="interval"):
             _spec(interval_minutes=0.0)
 
     def test_fingerprint_excludes_execution_knobs(self):
-        assert _spec(workers=1).fingerprint() == _spec(
-            workers=4, supervise=True
-        ).fingerprint()
+        assert _spec(workers=1).fingerprint() == _spec(workers=4).fingerprint()
         assert _spec().fingerprint() != _spec(
             config=_smoke_config(seed=TEST_SEED + 1)
         ).fingerprint()

@@ -22,9 +22,11 @@ from repro.core.experiment import StudyConfig
 from repro.core.runner import Study
 from repro.faults.checkpoint import CheckpointError, load_checkpoint
 from repro.faults.plan import FaultPlan
+from repro.parallel import run_parallel
 from repro.queries.corpus import build_corpus
 from repro.store import StoreCorruption
 from repro.store.record_log import read_log
+from repro.supervise import KillSpec, SupervisorPolicy
 
 #: >10% request-level fault rate, every fault kind enabled.
 CHAOS = FaultPlan.named("chaos")
@@ -204,6 +206,127 @@ class TestParallelResume:
             Study(_config()).run(sink=sink, checkpoint=str(path))
         with pytest.raises(CheckpointError, match="worker"):
             Study(_config()).run(workers=2, checkpoint=str(path))
+
+
+def _records_through(study, dataset, ordinal: int) -> int:
+    """How many of ``dataset``'s records belong to rounds 0..ordinal."""
+    ordinals = {
+        (scheduled.query.text, scheduled.day_offset): scheduled.ordinal
+        for scheduled in study.iter_rounds()
+    }
+    return sum(
+        1 for record in dataset if ordinals[(record.query, record.day)] <= ordinal
+    )
+
+
+class TestSupervisedJournal:
+    """Worker recovery and the round journal compose: a worker murdered
+    mid-run and a parent killed at a round boundary still resume to the
+    uninterrupted bytes."""
+
+    #: Every incarnation of shard 0 dies at its first request of round 1.
+    QUARANTINE = dict(
+        policy=SupervisorPolicy(quarantine_after=2),
+        kill_specs=(KillSpec(shard=0, ordinal=1, request=1, generation=None),),
+    )
+
+    @pytest.fixture(scope="class")
+    def events_baseline(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("events") / "w1.events.jsonl"
+        study = Study(_config())
+        dataset = study.run(events=str(path))
+        return study, dataset, path.read_bytes()
+
+    @pytest.fixture(scope="class")
+    def quarantined(self):
+        """The uninterrupted run that quarantines shard 0 at round 1."""
+        study = Study(_config())
+        dataset = run_parallel(study, workers=2, **self.QUARANTINE)
+        assert study.supervisor.stats.quarantined_shards == 1
+        return study, dataset
+
+    def test_worker_kill_then_parent_kill_resumes_byte_identical(
+        self, events_baseline, tmp_path
+    ):
+        base_study, base_dataset, base_events = events_baseline
+        path, events = tmp_path / "sup.ckpt", tmp_path / "sup.events.jsonl"
+        sink, _ = _killing_sink(_records_through(base_study, base_dataset, 2))
+        killed = Study(_config())
+        with pytest.raises(Killed):
+            run_parallel(
+                killed,
+                workers=2,
+                sink=sink,
+                checkpoint=str(path),
+                events=str(events),
+                kill_specs=(KillSpec(shard=0, ordinal=1),),
+            )
+        assert killed.supervisor.stats.crashes_detected == 1
+        assert load_checkpoint(
+            str(path), expected_fingerprint=killed.checkpoint_fingerprint(),
+            workers=2,
+        ).next_ordinal == 3
+        resumed = Study(_config())
+        dataset = run_parallel(
+            resumed,
+            workers=2,
+            checkpoint=str(path),
+            events=str(events),
+            kill_specs=(KillSpec(shard=1, ordinal=4, request=1),),
+        )
+        assert resumed.supervisor.stats.crashes_detected == 1
+        assert _serialized(dataset) == _serialized(base_dataset)
+        assert resumed.stats == base_study.stats
+        assert resumed.failures == base_study.failures
+        assert resumed.fault_stats == base_study.fault_stats
+        assert events.read_bytes() == base_events
+
+    def test_quarantine_survives_parent_kill_and_resume(
+        self, quarantined, tmp_path
+    ):
+        base_study, base_dataset = quarantined
+        path = tmp_path / "quarantine.ckpt"
+        sink, _ = _killing_sink(_records_through(base_study, base_dataset, 3))
+        with pytest.raises(Killed):
+            run_parallel(
+                Study(_config()),
+                workers=2,
+                sink=sink,
+                checkpoint=str(path),
+                **self.QUARANTINE,
+            )
+        # The journal records the quarantine itself, from its round on.
+        marked = [
+            payload["ordinal"]
+            for payload, _ in read_log(str(path))
+            if payload.get("kind") == "state" and "quarantine" in payload["state"]
+        ]
+        assert marked == [1, 2, 3]
+        resumed = Study(_config())
+        dataset = run_parallel(
+            resumed, workers=2, checkpoint=str(path), **self.QUARANTINE
+        )
+        # Shard 0 was re-quarantined from the journal: no worker ran it.
+        stats = resumed.supervisor.stats
+        assert stats.quarantined_shards == 1
+        assert stats.crashes_detected == 0
+        assert _serialized(dataset) == _serialized(base_dataset)
+        assert resumed.stats == base_study.stats
+        assert resumed.failures == base_study.failures
+        assert resumed.fault_stats == base_study.fault_stats
+
+    def test_checkpointed_audit_with_worker_kill_matches_clean(self, tmp_path):
+        from tests.test_audit_service import _run_cycles, _spec
+
+        clean = _run_cycles(tmp_path, "clean", _spec(), 2)
+        killed = _run_cycles(
+            tmp_path,
+            "killed",
+            _spec(checkpoint_cycles=True, workers=2),
+            2,
+            kill_specs=(KillSpec(shard=0, ordinal=1),),
+        )
+        assert killed == clean
 
 
 class TestMismatchRejection:

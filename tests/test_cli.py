@@ -232,6 +232,31 @@ class TestChaosCommand:
         ) == 0
         assert "all injected faults accounted for" in capsys.readouterr().out
 
+    def test_chaos_kill_workers_journals_and_resumes(self, tmp_path, capsys):
+        from repro.store.record_log import read_log
+
+        ckpt = tmp_path / "kill.ckpt"
+        out = tmp_path / "kill.jsonl"
+        argv = ["chaos", "--smoke", "--kill-workers", "--workers", "2",
+                "--checkpoint", str(ckpt), "--out", str(out)]
+        assert main(argv) == 0
+        assert "crash-detected" in capsys.readouterr().out
+        assert ckpt.exists()
+        assert main(["fsck", str(ckpt)]) == 0
+        first = out.read_bytes()
+        # Cut the journal back to round 0 (as a parent killed there
+        # leaves it): re-running the command resumes from round 1.
+        round0_end = max(
+            end
+            for payload, end in read_log(str(ckpt))
+            if payload.get("kind") == "state" and payload["ordinal"] == 0
+        )
+        with open(ckpt, "r+b") as handle:
+            handle.truncate(round0_end)
+        out.unlink()
+        assert main(argv) == 0
+        assert out.read_bytes() == first
+
     def test_run_with_checkpoint_is_reproducible(self, tmp_path):
         out = tmp_path / "mini.jsonl"
         ckpt = tmp_path / "mini.ckpt"

@@ -242,32 +242,44 @@ class TestZeroRebuildWorkers:
         assert dataset_digest(dataset) == expected
         assert study.worker_rebuilds == 2
 
-    def test_worker_main_reports_rebuild_path(self):
-        from repro.parallel.executor import _worker_main
+    def test_worker_loop_tells_inherited_from_rebuilt(self):
+        from repro.supervise.supervisor import _worker_loop
 
-        class Sink:
-            def __init__(self):
-                self.messages = []
+        class Queue:
+            def __init__(self, *messages):
+                self.messages = list(messages)
 
             def put(self, message):
                 self.messages.append(message)
+
+            def get(self):
+                return self.messages.pop(0)
 
         config = _config()
         study = Study(config)
         study.prefork_warmup()
         plan = plan_shards(len(study.treatments), len(study.fleet), 2)
 
-        inherited = Sink()
-        _worker_main(0, study, plan.assignments[0], inherited)
-        done = inherited.messages[-1]
-        assert done[0] == "done"
-        assert done[4] is False
+        def run(payload, shard, generation):
+            results = Queue()
+            commands = Queue(
+                ("run", shard, plan.assignments[shard], 0, None, generation),
+                ("exit",),
+            )
+            _worker_loop(shard, payload, results, commands, (), False)
+            done = results.messages[-1]
+            assert done[0] == "shard-done"
+            return done[3]
 
-        rebuilt = Sink()
-        _worker_main(1, config, plan.assignments[1], rebuilt)
-        done = rebuilt.messages[-1]
-        assert done[0] == "done"
-        assert done[4] is True
+        # A first incarnation crawls the study it inherited ...
+        assert run(study, 0, generation=0) is study.stats
+        assert study.stats.requests > 0
+        # ... a config payload, or any recovery incarnation, rebuilds.
+        rebuilt = run(config, 1, generation=0)
+        assert rebuilt.requests > 0
+        fresh = Study(config)
+        assert run(fresh, 1, generation=1) == rebuilt
+        assert fresh.stats.requests == 0
 
     def test_prefork_warmup_is_output_invisible(self):
         config = _config()

@@ -1,6 +1,7 @@
 """Supervised parallel execution (repro.supervise).
 
-The contract under test: killing, hanging, or erroring any worker at
+Every multi-worker run goes through the supervisor.  The contract under
+test: killing, hanging, or erroring any worker at
 any point of the crawl is *invisible* in the output — recovery
 re-executes the lost shard from its last snapshot and the merged
 dataset serialises to the same bytes as the sequential run — and when
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 
 import pytest
 
@@ -20,13 +20,9 @@ from repro.core.comparisons import per_location_coverage
 from repro.core.experiment import StudyConfig
 from repro.core.runner import Study
 from repro.faults.plan import FaultPlan
-from repro.parallel import WorkerFailure, run_parallel
+from repro.parallel import run_parallel
 from repro.queries.corpus import build_corpus
-from repro.supervise import (
-    KillSpec,
-    SupervisorPolicy,
-    run_supervised,
-)
+from repro.supervise import KillSpec, SupervisorPolicy
 
 #: Fast stall detection for tests: tenths of a second, not minutes.
 FAST_STALLS = SupervisorPolicy(
@@ -66,7 +62,7 @@ def gateway_baseline():
 
 def _run(config, *, workers, **kwargs):
     study = Study(config)
-    dataset = run_supervised(study, workers=workers, **kwargs)
+    dataset = run_parallel(study, workers=workers, **kwargs)
     return _serialized(dataset), study
 
 
@@ -83,21 +79,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             SupervisorPolicy(max_respawns=-1)
 
-    def test_supervise_knobs_require_supervise(self):
-        with pytest.raises(ValueError, match="supervise"):
-            run_parallel(Study(_config()), workers=2, kill_specs=(
-                KillSpec(shard=0, ordinal=0),
-            ))
-
-    def test_supervise_refuses_checkpoint(self, tmp_path):
-        with pytest.raises(ValueError, match="checkpoint"):
-            run_parallel(
-                Study(_config()),
-                workers=2,
-                supervise=True,
-                checkpoint=str(tmp_path / "journal.jsonl"),
-            )
-
 
 class TestCleanSupervised:
     def test_clean_run_is_byte_identical_and_heartbeats(self, baseline):
@@ -110,13 +91,21 @@ class TestCleanSupervised:
         assert report.stats.heartbeats == 6
         assert report.stats.rounds_received == 6
         assert study.stats == seq.stats
+        assert study.worker_rebuilds == 0
 
-    def test_run_api_supervise_flag(self, baseline):
+    def test_run_api_workers_runs_supervised(self, baseline):
         expected, _ = baseline
         study = Study(_config())
-        dataset = study.run(workers=2, supervise=True)
+        dataset = study.run(workers=2)
         assert _serialized(dataset) == expected
         assert study.supervisor is not None
+        assert study.supervisor.stats.heartbeats == 6
+
+    def test_single_worker_run_api_stays_in_process(self, baseline):
+        expected, _ = baseline
+        study = Study(_config())
+        assert _serialized(study.run(workers=1)) == expected
+        assert study.supervisor is None
 
 
 class TestCrashRecovery:
@@ -132,6 +121,8 @@ class TestCrashRecovery:
         stats = study.supervisor.stats
         assert stats.crashes_detected == 1
         assert stats.recoveries == 1
+        # The recovery incarnation rebuilt; the survivor inherited.
+        assert study.worker_rebuilds == 1
         assert study.stats == seq.stats
         assert study.failures == seq.failures
 
@@ -216,7 +207,7 @@ class TestQuarantine:
     def test_deterministic_failure_is_structured_loss(self):
         config = _config()
         study = Study(config)
-        dataset = run_supervised(
+        dataset = run_parallel(
             study,
             workers=2,
             policy=SupervisorPolicy(quarantine_after=2),
@@ -269,26 +260,6 @@ class TestPlanDrivenChaos:
         plan = FaultPlan.named("unstable-workers", seed=1)
         assert plan.has_worker_faults
         assert not plan.is_zero
-
-
-class TestUnsupervisedFailureIsStructured:
-    def test_dead_worker_raises_worker_failure(self, monkeypatch):
-        # Without supervision a worker death must still surface as a
-        # structured error, not a deadlocked parent (fork start method
-        # propagates the patch into workers).
-        original = Study.run_shard
-
-        def dying(self, indices, **kwargs):
-            if 0 in indices:
-                os._exit(9)
-            return original(self, indices, **kwargs)
-
-        monkeypatch.setattr(Study, "run_shard", dying)
-        with pytest.raises(WorkerFailure) as info:
-            run_parallel(Study(_config()), workers=2, start_method="fork")
-        assert info.value.exit_code == 9
-        assert info.value.worker_id == 0
-        assert "supervise=True" in str(info.value)
 
 
 class TestObservability:
