@@ -768,8 +768,11 @@ def _cmd_report(args) -> int:
     if wanted in ("7", "all"):
         sections.append(report.render_fig7())
     if wanted in ("8", "all"):
-        for granularity in report.granularities():
-            sections.append(report.render_fig8(granularity))
+        if dataset.queries(category="local"):
+            for granularity in report.granularities():
+                sections.append(report.render_fig8(granularity))
+        else:
+            sections.append("Figure 8 skipped: no 'local' queries in dataset")
     print("\n\n".join(sections))
     return 0
 

@@ -8,10 +8,18 @@ Two comparison families, following paper §3:
   vs copy 0), whose differences above the noise floor are attributed to
   location-based personalization.
 
-Both yield :class:`PageComparison` values carrying the full metrics and
-the per-result-type filtered metrics used by the attribution figures.
+This module owns the pairing rules.  :func:`noise_record_pairs` and
+:func:`treatment_record_pairs` are the one walk per family: which
+records pair up, and in what order.  Every consumer pairs records
+through them — the batch iterators over a filtered dataset, the
+streaming audit over one round buffer, the positional and consistency
+analyses.  The batch iterators turn each pair into a
+:class:`PageComparison` carrying the full metrics and the
+per-result-type filtered metrics used by the attribution figures;
+:class:`CellAnalysis` caches one cell's comparisons so every figure
+reads it without comparing a pair twice.
 
-Both iterators silently *skip* pairs whose other half is missing —
+Both walks silently *skip* pairs whose other half is missing —
 a real crawl loses pages to CAPTCHAs, crashes, and timeouts, and the
 analyses must degrade gracefully.  :func:`per_location_coverage` makes
 the loss visible instead of silent: it folds the dataset and the
@@ -24,16 +32,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.datastore import SerpDataset, SerpRecord
 from repro.core.metrics import edit_distance, jaccard_index
 from repro.core.parser import ResultType
+from repro.stats.summaries import MeanStd, summarize
 
 __all__ = [
     "PageComparison",
+    "ComparisonCell",
+    "CellAnalysis",
     "LocationCoverage",
     "compare_records",
+    "noise_record_pairs",
+    "treatment_record_pairs",
     "iter_noise_pairs",
     "iter_treatment_pairs",
     "per_location_coverage",
@@ -90,26 +103,56 @@ def compare_records(a: SerpRecord, b: SerpRecord) -> PageComparison:
     )
 
 
+def noise_record_pairs(
+    records: Iterable[SerpRecord],
+) -> Iterator[Tuple[SerpRecord, SerpRecord]]:
+    """Treatment/control record pairs: each copy-0 record with the copy-1
+    record of its (query, granularity, location, day) slot.
+
+    Pairs come in the order of their copy-0 records; a treatment whose
+    control is missing yields nothing.
+    """
+    records = list(records)
+    # key[:4] is the record's slot: its key without the copy index.
+    controls = {r.key[:4]: r for r in records if r.copy_index == 1}
+    for record in records:
+        if record.copy_index == 0:
+            control = controls.get(record.key[:4])
+            if control is not None:
+                yield record, control
+
+
+def treatment_record_pairs(
+    records: Iterable[SerpRecord],
+) -> Iterator[Tuple[SerpRecord, SerpRecord]]:
+    """All-location record pairs: the copy-0 records of each (query,
+    granularity, day) group, as location-sorted combinations.
+
+    Groups come in first-appearance order.  One lock-step crawl round is
+    one (query, day), so a round's buffer walks exactly the pairs the
+    whole dataset walks for that round.
+    """
+    groups: Dict[tuple, List[SerpRecord]] = {}
+    for record in records:
+        if record.copy_index == 0:
+            groups.setdefault(
+                (record.query, record.granularity, record.day), []
+            ).append(record)
+    for group in groups.values():
+        group.sort(key=lambda r: r.location_name)
+        yield from itertools.combinations(group, 2)
+
+
 def iter_noise_pairs(
     dataset: SerpDataset,
     *,
     category: Optional[str] = None,
     granularity: Optional[str] = None,
-    query: Optional[str] = None,
-    day: Optional[int] = None,
 ) -> Iterator[PageComparison]:
     """Treatment-vs-control comparisons (same location, same time)."""
-    subset = dataset.filter(
-        category=category, granularity=granularity, query=query, day=day
-    )
-    for record in subset:
-        if record.copy_index != 0:
-            continue
-        control = dataset.get(
-            record.query, record.granularity, record.location_name, record.day, 1
-        )
-        if control is not None:
-            yield compare_records(record, control)
+    subset = dataset.filter(category=category, granularity=granularity)
+    for a, b in noise_record_pairs(subset):
+        yield compare_records(a, b)
 
 
 def iter_treatment_pairs(
@@ -117,25 +160,90 @@ def iter_treatment_pairs(
     *,
     category: Optional[str] = None,
     granularity: Optional[str] = None,
-    query: Optional[str] = None,
-    day: Optional[int] = None,
-    copy_index: int = 0,
 ) -> Iterator[PageComparison]:
-    """All-location-pair comparisons at one moment (copy vs same copy)."""
-    subset = dataset.filter(
-        category=category, granularity=granularity, query=query, day=day
-    )
-    grouped: Dict[tuple, List[SerpRecord]] = {}
-    for record in subset:
-        if record.copy_index != copy_index:
-            continue
-        grouped.setdefault((record.query, record.granularity, record.day), []).append(
-            record
-        )
-    for records in grouped.values():
-        records.sort(key=lambda r: r.location_name)
-        for a, b in itertools.combinations(records, 2):
-            yield compare_records(a, b)
+    """All-location-pair comparisons at one moment (copy 0 vs copy 0)."""
+    subset = dataset.filter(category=category, granularity=granularity)
+    for a, b in treatment_record_pairs(subset):
+        yield compare_records(a, b)
+
+
+class ComparisonCell:
+    """Summaries of one (category, granularity) cell's comparisons
+    (Figs. 2 and 5), or of one query's share of a cell (Figs. 3 and 6)."""
+
+    def __init__(self, comparisons: List[PageComparison]):
+        if not comparisons:
+            raise ValueError("no comparisons in this cell")
+        self.comparisons = comparisons
+        self.jaccard: MeanStd = summarize(c.jaccard for c in comparisons)
+        self.edit: MeanStd = summarize(float(c.edit) for c in comparisons)
+
+    def edit_component(self, result_type: ResultType) -> MeanStd:
+        """Mean edit distance attributable to one result type."""
+        return summarize(float(c.edit_by_type[result_type]) for c in self.comparisons)
+
+    def edit_other(self) -> MeanStd:
+        """Mean edit distance hitting "normal" results (Fig. 7's Other)."""
+        return summarize(float(c.edit_other) for c in self.comparisons)
+
+    def type_share(self, result_type: ResultType) -> float:
+        """Fraction of all edit operations attributable to one type.
+
+        Computed as total type-filtered changes over total changes,
+        matching the paper's "total number of search result changes due
+        to Maps, divided by the overall number of changes".
+        """
+        total = sum(c.edit for c in self.comparisons)
+        if total == 0:
+            return 0.0
+        attributed = sum(c.edit_by_type[result_type] for c in self.comparisons)
+        return attributed / total
+
+
+class CellAnalysis:
+    """One comparison family's cells over one dataset.
+
+    ``walk`` is :func:`iter_noise_pairs` or :func:`iter_treatment_pairs`.
+    Each (category, granularity) cell is walked and compared once; its
+    summary, per-term split and raw comparisons all reuse that list.
+    """
+
+    def __init__(
+        self,
+        dataset: SerpDataset,
+        walk: Callable[..., Iterator[PageComparison]],
+    ):
+        self.dataset = dataset
+        self._walk = walk
+        self._comparisons: Dict[tuple, List[PageComparison]] = {}
+        self._cells: Dict[tuple, ComparisonCell] = {}
+
+    def comparisons(self, category: str, granularity: str) -> List[PageComparison]:
+        """Every comparison of one cell, in walk order (empty if none)."""
+        key = (category, granularity)
+        cached = self._comparisons.get(key)
+        if cached is None:
+            cached = list(
+                self._walk(self.dataset, category=category, granularity=granularity)
+            )
+            self._comparisons[key] = cached
+        return cached
+
+    def cell(self, category: str, granularity: str) -> ComparisonCell:
+        """The summarized cell; raises ``ValueError`` if it has no pairs."""
+        key = (category, granularity)
+        cached = self._cells.get(key)
+        if cached is None:
+            cached = ComparisonCell(self.comparisons(category, granularity))
+            self._cells[key] = cached
+        return cached
+
+    def per_term(self, category: str, granularity: str) -> Dict[str, ComparisonCell]:
+        """Per-query cells of one cell (Figs. 3 and 6), first-pair order."""
+        by_query: Dict[str, List[PageComparison]] = {}
+        for comparison in self.comparisons(category, granularity):
+            by_query.setdefault(comparison.query, []).append(comparison)
+        return {query: ComparisonCell(pairs) for query, pairs in by_query.items()}
 
 
 @dataclass

@@ -13,7 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.comparisons import compare_records
+from repro.core.comparisons import (
+    compare_records,
+    noise_record_pairs,
+    treatment_record_pairs,
+)
 from repro.core.datastore import SerpDataset
 from repro.stats.summaries import summarize
 
@@ -113,40 +117,27 @@ class ConsistencyAnalysis:
 
     def pairwise_location_means(self, granularity: str) -> Dict[tuple, float]:
         """Mean edit distance for every location pair (across queries/days)."""
-        import itertools
-
-        locations = sorted(self.dataset.locations(granularity))
-        queries = self.dataset.queries(category=self.category)
-        days = self.dataset.days()
-        means: Dict[tuple, float] = {}
-        for name_a, name_b in itertools.combinations(locations, 2):
-            values: List[float] = []
-            for query in queries:
-                for day in days:
-                    record_a = self.dataset.get(query, granularity, name_a, day, 0)
-                    record_b = self.dataset.get(query, granularity, name_b, day, 0)
-                    if record_a is not None and record_b is not None:
-                        values.append(float(compare_records(record_a, record_b).edit))
-            if values:
-                means[(name_a, name_b)] = summarize(values).mean
-        return means
+        # Edit distances are integers, so each mean is exact in any order.
+        values: Dict[tuple, List[float]] = {}
+        for record_a, record_b in self._pairs(treatment_record_pairs, granularity):
+            pair = (record_a.location_name, record_b.location_name)
+            values.setdefault(pair, []).append(
+                float(compare_records(record_a, record_b).edit)
+            )
+        return {pair: summarize(values[pair]).mean for pair in sorted(values)}
 
     def noise_floor(self, granularity: str) -> float:
         """Mean treatment/control edit distance across all locations."""
-        values: List[float] = []
-        for record in self.dataset.filter(
-            category=self.category, granularity=granularity
-        ):
-            if record.copy_index != 0:
-                continue
-            control = self.dataset.get(
-                record.query, granularity, record.location_name, record.day, 1
-            )
-            if control is not None:
-                values.append(float(compare_records(record, control).edit))
+        values = [
+            float(compare_records(record, control).edit)
+            for record, control in self._pairs(noise_record_pairs, granularity)
+        ]
         if not values:
             raise ValueError(f"no control pairs at granularity {granularity!r}")
         return summarize(values).mean
+
+    def _pairs(self, walk, granularity: str):
+        return walk(self.dataset.filter(category=self.category, granularity=granularity))
 
     def cluster_groups(
         self, granularity: str, *, margin: float = 1.0

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.datastore import SerpDataset, SerpRecord
+from repro.core.comparisons import noise_record_pairs, treatment_record_pairs
+from repro.core.datastore import SerpDataset
 from repro.core.metrics import jaccard_index
 from repro.stats.summaries import MeanStd, summarize
 
@@ -31,43 +32,10 @@ class PositionalAnalysis:
     def __init__(self, dataset: SerpDataset):
         self.dataset = dataset
 
-    # -- pairs ------------------------------------------------------------------
-
-    def _pairs(self, category: str, granularity: str, *, noise: bool):
-        from repro.core.comparisons import iter_noise_pairs, iter_treatment_pairs
-
-        if noise:
-            yield from iter_noise_pairs(
-                self.dataset, category=category, granularity=granularity
-            )
-        else:
-            yield from iter_treatment_pairs(
-                self.dataset, category=category, granularity=granularity
-            )
-
     def _record_pairs(self, category: str, granularity: str, *, noise: bool):
         """Yield (record_a, record_b) tuples for the chosen comparison."""
-        import itertools
-
-        subset = self.dataset.filter(category=category, granularity=granularity)
-        if noise:
-            for record in subset:
-                if record.copy_index != 0:
-                    continue
-                control = self.dataset.get(
-                    record.query, granularity, record.location_name, record.day, 1
-                )
-                if control is not None:
-                    yield record, control
-        else:
-            grouped: Dict[tuple, List[SerpRecord]] = {}
-            for record in subset:
-                if record.copy_index != 0:
-                    continue
-                grouped.setdefault((record.query, record.day), []).append(record)
-            for records in grouped.values():
-                records.sort(key=lambda r: r.location_name)
-                yield from itertools.combinations(records, 2)
+        walk = noise_record_pairs if noise else treatment_record_pairs
+        return walk(self.dataset.filter(category=category, granularity=granularity))
 
     # -- positional volatility ----------------------------------------------------
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.experiment import StudyConfig
-from repro.core.noise import NoiseAnalysis
 from repro.core.personalization import PersonalizationAnalysis
 from repro.core.runner import Study
 from repro.stats.summaries import MeanStd, summarize
@@ -146,7 +145,7 @@ def replicate(
             )
         dataset = Study(config).run()
         personalization = PersonalizationAnalysis(dataset)
-        noise = NoiseAnalysis(dataset)
+        noise = personalization.noise
         outcomes.append(
             SeedOutcome(
                 seed=seed,

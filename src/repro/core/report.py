@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 
 from repro.core.consistency import ConsistencyAnalysis, ConsistencySeries
 from repro.core.datastore import SerpDataset
-from repro.core.noise import NoiseAnalysis
 from repro.core.parser import ResultType
 from repro.core.personalization import PersonalizationAnalysis
 
@@ -60,8 +59,8 @@ class StudyReport:
 
     def __init__(self, dataset: SerpDataset):
         self.dataset = dataset
-        self.noise = NoiseAnalysis(dataset)
         self.personalization = PersonalizationAnalysis(dataset)
+        self.noise = self.personalization.noise
 
     # -- helpers ---------------------------------------------------------------
 

@@ -7,6 +7,7 @@ from repro.core.datastore import SerpDataset
 from repro.core.experiment import StudyConfig
 from repro.core.runner import Study
 from repro.queries.corpus import build_corpus
+from repro.queries.model import QueryCategory
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,17 @@ class TestCommands:
         for figure in ("Figure 2", "Figure 3", "Figure 4", "Figure 5", "Figure 6",
                        "Figure 7", "Figure 8"):
             assert figure in out
+
+    def test_report_without_local_queries_skips_fig8(self, tmp_path, capsys):
+        queries = list(build_corpus().by_category(QueryCategory.POLITICIAN))[:2]
+        config = StudyConfig.small(queries, days=1, locations_per_granularity=2)
+        path = tmp_path / "politicians.jsonl"
+        Study(config).run().save(path)
+        assert main(["report", "--dataset", str(path), "--figure", "all"]) == 0
+        out = capsys.readouterr().out
+        for figure in ("Figure 2", "Figure 5", "Figure 7"):
+            assert figure in out
+        assert "Figure 8 skipped: no 'local' queries in dataset" in out
 
     def test_validate_command(self, capsys):
         assert main(["validate", "--machines", "6", "--seed", "5"]) == 0
