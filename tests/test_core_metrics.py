@@ -1,8 +1,15 @@
 """Tests for the comparison metrics (paper §2.3)."""
 
+import itertools
+
 import pytest
 
-from repro.core.metrics import damerau_levenshtein, edit_distance, jaccard_index
+from repro.core.metrics import (
+    damerau_levenshtein,
+    damerau_levenshtein_reference,
+    edit_distance,
+    jaccard_index,
+)
 
 
 class TestJaccard:
@@ -94,3 +101,20 @@ class TestEditDistance:
 
     def test_alias(self):
         assert edit_distance(["a"], ["b"]) == damerau_levenshtein(["a"], ["b"])
+
+    def test_kernel_matches_reference_exhaustively(self):
+        # Every pair of sequences of length <= 4 over {a, b, c}:
+        # 121 sequences, 14,641 pairs.
+        sequences = [
+            seq for n in range(5) for seq in itertools.product("abc", repeat=n)
+        ]
+        assert len(sequences) ** 2 == 14_641
+        for a in sequences:
+            for b in sequences:
+                assert damerau_levenshtein(a, b) == damerau_levenshtein_reference(a, b)
+
+    def test_kernel_has_no_word_size_limit(self):
+        a = [f"u{i}" for i in range(150)]
+        b = a[1:] + ["x"]
+        b[70], b[71] = b[71], b[70]
+        assert damerau_levenshtein(a, b) == damerau_levenshtein_reference(a, b) == 3

@@ -3,7 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.metrics import damerau_levenshtein, jaccard_index
+from repro.core.metrics import (
+    damerau_levenshtein,
+    damerau_levenshtein_reference,
+    jaccard_index,
+)
 from repro.geo.coords import LatLon, destination, haversine_km
 from repro.net.ip import IPv4Address, IPv4Subnet
 from repro.seeding import derive_seed, stable_unit
@@ -14,6 +18,11 @@ from repro.web.grid import GeoGrid
 
 urls = st.text(alphabet="abcde", min_size=1, max_size=3)
 url_lists = st.lists(urls, max_size=12)
+# The bit-parallel kernel and its DP oracle must both satisfy every
+# edit-distance property.
+EDIT_DISTANCES = (damerau_levenshtein, damerau_levenshtein_reference)
+# Two or three symbols make transpositions and repeated items common.
+small_alphabets = st.sampled_from(["ab", "abc"])
 # Keep latitudes away from the poles: the local-grid projection (like
 # the study itself) is only meaningful at inhabited latitudes.
 lats = st.floats(min_value=-80.0, max_value=80.0, allow_nan=False)
@@ -32,26 +41,41 @@ class TestMetricProperties:
 
     @given(url_lists)
     def test_edit_self_is_zero(self, items):
-        assert damerau_levenshtein(items, items) == 0
+        for distance in EDIT_DISTANCES:
+            assert distance(items, items) == 0
 
     @given(url_lists, url_lists)
     def test_edit_symmetric(self, a, b):
-        assert damerau_levenshtein(a, b) == damerau_levenshtein(b, a)
+        for distance in EDIT_DISTANCES:
+            assert distance(a, b) == distance(b, a)
 
     @given(url_lists, url_lists)
     def test_edit_bounded_by_longer(self, a, b):
-        assert damerau_levenshtein(a, b) <= max(len(a), len(b))
+        for distance in EDIT_DISTANCES:
+            assert distance(a, b) <= max(len(a), len(b))
 
     @given(url_lists, url_lists)
     def test_edit_at_least_length_difference(self, a, b):
-        assert damerau_levenshtein(a, b) >= abs(len(a) - len(b))
+        for distance in EDIT_DISTANCES:
+            assert distance(a, b) >= abs(len(a) - len(b))
 
-    @settings(max_examples=40)
-    @given(url_lists, url_lists, url_lists)
-    def test_edit_triangle_inequality(self, a, b, c):
-        assert damerau_levenshtein(a, c) <= (
-            damerau_levenshtein(a, b) + damerau_levenshtein(b, c)
-        )
+    def test_edit_breaks_triangle_inequality(self):
+        # OSA distance is not a metric: "ca" -> "abc" costs 3, yet the
+        # route through "ac" costs a swap plus an insertion.
+        for distance in EDIT_DISTANCES:
+            assert distance(["c", "a"], ["a", "b", "c"]) == 3
+            assert distance(["c", "a"], ["a", "c"]) == 1
+            assert distance(["a", "c"], ["a", "b", "c"]) == 1
+
+    @settings(max_examples=300)
+    @given(st.data(), small_alphabets, st.booleans(), st.booleans())
+    def test_edit_kernel_matches_reference(self, data, alphabet, tuple_a, tuple_b):
+        symbols = st.sampled_from(alphabet)
+        a = data.draw(st.lists(symbols, max_size=80))
+        b = data.draw(st.lists(symbols, max_size=80))
+        a = tuple(a) if tuple_a else a
+        b = tuple(b) if tuple_b else b
+        assert damerau_levenshtein(a, b) == damerau_levenshtein_reference(a, b)
 
     @given(url_lists, url_lists)
     def test_identical_sets_give_jaccard_one(self, a, b):
