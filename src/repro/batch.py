@@ -53,7 +53,7 @@ def prewarm_round(study, query, treatments: Sequence) -> None:
     """Build the shared static state for one round ahead of serving.
 
     ``treatments`` is the subset of the study's treatments this caller
-    will actually crawl (a worker passes its shard, the sequential loop
+    will actually crawl (a worker passes its shard, the in-process run
     passes everything) — warming cells another shard owns would
     duplicate exactly the work sharding is meant to split.
     """

@@ -692,6 +692,15 @@ def _config_for_scale(scale: str, seed: int, days: Optional[int]) -> StudyConfig
 
 
 def _cmd_run(args) -> int:
+    from repro.faults.checkpoint import CheckpointError
+
+    if args.trace and args.checkpoint:
+        print(
+            "run: --trace and --checkpoint cannot be combined "
+            "(the checkpoint journal does not carry spans)",
+            file=sys.stderr,
+        )
+        return 2
     config = _config_for_scale(args.scale, args.seed, args.days)
     overrides = {}
     if args.gateway:
@@ -709,12 +718,16 @@ def _cmd_run(args) -> int:
         f"{args.workers} worker(s) ...",
         file=sys.stderr,
     )
-    dataset = study.run(
-        workers=args.workers,
-        checkpoint=args.checkpoint,
-        trace=args.trace,
-        events=args.events,
-    )
+    try:
+        dataset = study.run(
+            workers=args.workers,
+            checkpoint=args.checkpoint,
+            trace=args.trace,
+            events=args.events,
+        )
+    except CheckpointError as error:
+        print(f"run: {error}", file=sys.stderr)
+        return 2
     dataset.save(args.out)
     if study.supervisor is not None and not study.supervisor.clean:
         print(study.supervisor.render(limit=10), file=sys.stderr)

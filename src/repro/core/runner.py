@@ -74,6 +74,7 @@ __all__ = [
     "Study",
     "CrawlFailure",
     "CrawlStats",
+    "RunOutputs",
     "ScheduledRound",
     "serialize_outcome",
     "deserialize_outcome",
@@ -302,7 +303,6 @@ class Study:
         # SupervisorReport (counters + recovery ledger).  Kept as a
         # plain attribute so this module never imports the supervisor.
         self.supervisor = None
-        self._sink = None
 
     # -- construction ----------------------------------------------------------
 
@@ -382,12 +382,6 @@ class Study:
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if trace is not None and checkpoint is not None:
-            raise ValueError(
-                "trace and checkpoint cannot be combined: the checkpoint "
-                "journal does not carry spans, so a resumed run could not "
-                "rebuild the rounds crawled before the kill"
-            )
         if workers > 1:
             from repro.parallel import run_parallel
 
@@ -399,117 +393,44 @@ class Study:
                 trace=trace,
                 events=events,
             )
-        dataset = SerpDataset()
-        self._sink = sink
-        builder = self._trace_builder(trace) if trace is not None else None
-        event_builder = (
-            self._events_builder(events) if events is not None else None
+        outputs = RunOutputs(
+            self,
+            workers=1,
+            sink=sink,
+            checkpoint=checkpoint,
+            trace=trace,
+            events=events,
         )
+        journalled = outputs.journal is not None
+
+        def release(scheduled, outcomes, spans):
+            # Only the journal needs the post-round snapshot; a plain
+            # run never pays for capturing it.
+            states = (
+                {0: self.capture_state(scheduled.timestamp)} if journalled else None
+            )
+            outputs.release(scheduled.ordinal, outcomes, states, spans)
+
         try:
-            if checkpoint is not None:
-                return self._run_checkpointed(dataset, checkpoint, event_builder)
-            for scheduled in self.iter_rounds():
-                outcomes = self._run_round(dataset, scheduled)
-                if builder is not None:
-                    builder.add_round(scheduled.ordinal, self.tracer.drain())
-                if event_builder is not None:
-                    event_builder.add_round(
-                        scheduled.ordinal, list(enumerate(outcomes))
-                    )
+            state = outputs.resume_states.get(0)
+            if state is not None:
+                self.restore_state(state)
+            self.run_shard(
+                list(range(len(self.treatments))),
+                on_round=release,
+                on_round_start=lambda ordinal, timestamp: None,
+                start_ordinal=outputs.next_ordinal,
+                trace=outputs.trace is not None,
+            )
         finally:
-            if builder is not None:
-                builder.close()
-                self.tracer.disable()
-            if event_builder is not None:
-                event_builder.close()
-            self._sink = None
-        return dataset
-
-    def _trace_builder(self, path: str):
-        """Enable the tracer and open the canonical trace file at ``path``."""
-        from repro.obs.exporters import TraceBuilder
-        from repro.obs.replay import GatewayReplay
-
-        fingerprint = self.checkpoint_fingerprint()
-        trace_id = trace_id_for(fingerprint)
-        self.tracer.enable(trace_id)
-        return TraceBuilder(
-            path,
-            trace_id=trace_id,
-            meta=fingerprint,
-            replay=GatewayReplay.from_study(self),
-        )
-
-    def _events_builder(self, path: str):
-        """Open the canonical wide-event log at ``path`` for this study."""
-        from repro.obs.events import CrawlEventBuilder
-
-        return CrawlEventBuilder(path, study=self)
+            outputs.close()
+        return outputs.dataset
 
     def metrics_registry(self, *, include_caches: bool = False):
         """This study's stats, bound into a :class:`MetricsRegistry`."""
         from repro.obs.metrics import build_study_registry
 
         return build_study_registry(self, include_caches=include_caches)
-
-    def _open_journal(self, path: str, workers: int, dataset, event_builder):
-        """Open the round journal at ``path`` for a ``workers``-shard run.
-
-        A compatible journal's durable rounds are replayed into
-        ``dataset``, the failure log, the sink and ``event_builder`` in
-        canonical order; returns ``(writer, resume)``, where ``resume``
-        is ``None`` for a fresh journal.
-        """
-        fingerprint = self.checkpoint_fingerprint()
-        resume = load_checkpoint(
-            path, expected_fingerprint=fingerprint, workers=workers
-        )
-        if resume is None:
-            header = {
-                "version": CHECKPOINT_VERSION,
-                "workers": workers,
-                "fingerprint": fingerprint,
-            }
-            return CheckpointWriter.create(path, header), None
-        for ordinal, outcomes in enumerate(resume.rounds):
-            decoded = [deserialize_outcome(payload) for payload in outcomes]
-            self._commit_outcomes(dataset, decoded)
-            if event_builder is not None:
-                event_builder.add_round(ordinal, list(enumerate(decoded)))
-        return CheckpointWriter.append_to(path), resume
-
-    def _run_checkpointed(
-        self, dataset: SerpDataset, path: str, event_builder=None
-    ) -> SerpDataset:
-        """Sequential run with a durable round journal (see :meth:`run`)."""
-        writer, resume = self._open_journal(path, 1, dataset, event_builder)
-        start = resume.next_ordinal if resume is not None else 0
-        if start > 0:
-            self.restore_state(resume.worker_states[0])
-        try:
-            for scheduled in self.iter_rounds():
-                if scheduled.ordinal < start:
-                    continue
-                outcomes = [
-                    self._crawl_treatment(index, treatment, scheduled)
-                    for index, treatment in enumerate(self.treatments)
-                ]
-                # Durable-then-release: the journal line hits disk
-                # before the outcomes reach the dataset or sink, so a
-                # kill at any instant loses no acknowledged record.
-                writer.append_round(
-                    scheduled.ordinal,
-                    [serialize_outcome(outcome) for outcome in outcomes],
-                    {0: self.capture_state(scheduled.timestamp)},
-                )
-                self._commit_outcomes(dataset, outcomes)
-                if event_builder is not None:
-                    event_builder.add_round(
-                        scheduled.ordinal, list(enumerate(outcomes))
-                    )
-        finally:
-            writer.close()
-        return dataset
 
     def iter_rounds(self) -> Iterator[ScheduledRound]:
         """The study schedule as a flat, ordered stream of rounds.
@@ -552,35 +473,6 @@ class Study:
 
         return prewarm_study(self)
 
-    def _run_round(
-        self, dataset: SerpDataset, scheduled: ScheduledRound
-    ) -> List[Union[SerpRecord, CrawlFailure]]:
-        """One lock-step round: every treatment runs the query at once."""
-        from repro.batch import prewarm_round
-
-        prewarm_round(self, scheduled.query, self.treatments)
-        self.tracer.begin_round(scheduled.ordinal)
-        outcomes = [
-            self._crawl_treatment(index, treatment, scheduled)
-            for index, treatment in enumerate(self.treatments)
-        ]
-        self._commit_outcomes(dataset, outcomes)
-        return outcomes
-
-    def _commit_outcomes(
-        self,
-        dataset: SerpDataset,
-        outcomes: List[Union[SerpRecord, CrawlFailure]],
-    ) -> None:
-        """Release one round's outcomes to the failure log, dataset, sink."""
-        for outcome in outcomes:
-            if isinstance(outcome, CrawlFailure):
-                self.failures.append(outcome)
-                continue
-            dataset.add(outcome)
-            if self._sink is not None:
-                self._sink(outcome)
-
     def run_shard(
         self,
         treatment_indices: List[int],
@@ -592,23 +484,24 @@ class Study:
     ) -> None:
         """Crawl only the given treatments through the full schedule.
 
-        The building block of the parallel executor: the study walks
-        :meth:`iter_rounds` exactly like a sequential run but issues
-        queries only for its shard of the treatment list, calling
-        ``on_round(ordinal, outcomes, state, spans)`` after each round
-        with the list of ``(treatment_index, SerpRecord |
-        CrawlFailure)`` in ascending treatment order.  ``state`` is
-        this shard's post-round :meth:`capture_state` snapshot (what
-        recovery and the checkpoint journal resume from).  ``spans`` is the round's drained span trees when ``trace`` is
-        set, else ``None`` — span ids key on (trace id, round,
-        treatment), so trees from different shards interleave into
-        exactly the sequential trace.  Rounds before ``start_ordinal``
-        are skipped — the resume path, which assumes
-        :meth:`restore_state` was fed the matching snapshot.
-        ``self.stats`` accumulates this shard's counters.
-        ``on_round_start(ordinal, timestamp_minutes)`` is called before
-        each round is crawled — the supervisor's virtual-time heartbeat
-        hook.
+        The one crawl loop: :meth:`run` passes every treatment, a
+        worker of the parallel executor passes its shard.  The study
+        walks :meth:`iter_rounds` and issues queries only for the given
+        treatments, calling ``on_round(scheduled, outcomes, spans)``
+        after each round with its :class:`ScheduledRound` and the list
+        of ``(treatment_index, SerpRecord | CrawlFailure)`` in
+        ascending treatment order.  No state snapshot is taken here:
+        callers that resume from one (worker recovery, the checkpoint
+        journal) call :meth:`capture_state` in ``on_round``.  ``spans``
+        is the round's drained span trees when ``trace`` is set, else
+        ``None`` — span ids key on (trace id, round, treatment), so
+        trees from different shards interleave into exactly the
+        sequential trace.  Rounds before ``start_ordinal`` are skipped
+        — the resume path, which assumes :meth:`restore_state` was fed
+        the matching snapshot.  ``self.stats`` accumulates this shard's
+        counters.  ``on_round_start(ordinal, timestamp_minutes)`` is
+        called before each round is crawled — the supervisor's
+        virtual-time heartbeat hook.
         """
         from repro.batch import prewarm_round
 
@@ -626,9 +519,8 @@ class Study:
                 (index, self._crawl_treatment(index, treatment, scheduled))
                 for index, treatment in shard
             ]
-            state = self.capture_state(scheduled.timestamp)
             spans = self.tracer.drain() if trace else None
-            on_round(scheduled.ordinal, outcomes, state, spans)
+            on_round(scheduled, outcomes, spans)
 
     def _crawl_treatment(
         self,
@@ -915,7 +807,131 @@ class Study:
         self, query: Query, *, day: int = 0
     ) -> List[Tuple[str, int, SerpRecord]]:
         """Run one query across all treatments (for examples/debugging)."""
-        dataset = SerpDataset()
-        timestamp = float(day * MINUTES_PER_DAY)
-        self._run_round(dataset, ScheduledRound(0, query, day, timestamp))
-        return [(r.location_name, r.copy_index, r) for r in dataset]
+        scheduled = ScheduledRound(0, query, day, float(day * MINUTES_PER_DAY))
+        outcomes = [
+            self._crawl_treatment(index, treatment, scheduled)
+            for index, treatment in enumerate(self.treatments)
+        ]
+        self.failures.extend(
+            outcome for outcome in outcomes if isinstance(outcome, CrawlFailure)
+        )
+        return [
+            (outcome.location_name, outcome.copy_index, outcome)
+            for outcome in outcomes
+            if isinstance(outcome, SerpRecord)
+        ]
+
+
+class RunOutputs:
+    """Where every finished round of one run goes.
+
+    The one release path for a crawl, in-process or supervised: it
+    owns the dataset, the sink, the checkpoint journal, the trace
+    builder and the event builder.  The constructor validates the
+    journal before it creates any output file, so a refused resume
+    leaves every file as it was, then releases the journal's durable
+    rounds again.  :attr:`next_ordinal` and :attr:`resume_states`
+    (shard id → snapshot at that boundary) say where the crawl resumes.
+    """
+
+    def __init__(
+        self,
+        study: Study,
+        *,
+        workers: int,
+        sink=None,
+        checkpoint: Optional[str] = None,
+        trace: Optional[str] = None,
+        events: Optional[str] = None,
+    ) -> None:
+        if trace is not None and checkpoint is not None:
+            raise ValueError(
+                "trace and checkpoint cannot be combined: the checkpoint "
+                "journal does not carry spans, so a resumed run could not "
+                "rebuild the rounds crawled before the kill"
+            )
+        self.study = study
+        self.dataset = SerpDataset()
+        self.sink = sink
+        self.journal: Optional[CheckpointWriter] = None
+        self.trace = None
+        self.events = None
+        fingerprint = study.checkpoint_fingerprint()
+        resume = None
+        if checkpoint is not None:
+            resume = load_checkpoint(
+                checkpoint, expected_fingerprint=fingerprint, workers=workers
+            )
+        self.next_ordinal = resume.next_ordinal if resume is not None else 0
+        self.resume_states = resume.worker_states if resume is not None else {}
+        try:
+            if events is not None:
+                from repro.obs.events import CrawlEventBuilder
+
+                self.events = CrawlEventBuilder(events, study=study)
+            if resume is not None:
+                # Journalled rounds are durable already: release them
+                # before the journal reopens, so none is written twice.
+                for ordinal, payloads in enumerate(resume.rounds):
+                    decoded = [deserialize_outcome(payload) for payload in payloads]
+                    self.release(ordinal, list(enumerate(decoded)))
+                self.journal = CheckpointWriter.append_to(checkpoint)
+            elif checkpoint is not None:
+                header = {
+                    "version": CHECKPOINT_VERSION,
+                    "workers": workers,
+                    "fingerprint": fingerprint,
+                }
+                self.journal = CheckpointWriter.create(checkpoint, header)
+            if trace is not None:
+                from repro.obs.exporters import TraceBuilder
+                from repro.obs.replay import GatewayReplay
+
+                trace_id = trace_id_for(fingerprint)
+                study.tracer.enable(trace_id)
+                self.trace = TraceBuilder(
+                    trace,
+                    trace_id=trace_id,
+                    meta=fingerprint,
+                    replay=GatewayReplay.from_study(study),
+                )
+        except BaseException:
+            self.close()
+            raise
+
+    def release(self, ordinal: int, outcomes, states=None, spans=None) -> None:
+        """Hand one finished round to every output, durable first.
+
+        ``outcomes`` pairs each treatment index with its outcome, in
+        ascending treatment order; ``states`` maps shard id to its
+        post-round snapshot (read only when a journal is open);
+        ``spans`` is the round's span trees (read only when tracing).
+        The journal line hits disk before the trace, the event log, the
+        failure log, the dataset or the sink see the round, so a kill
+        at any instant loses no acknowledged record.
+        """
+        if self.journal is not None:
+            self.journal.append_round(
+                ordinal, [serialize_outcome(outcome) for _, outcome in outcomes], states
+            )
+        if self.trace is not None:
+            self.trace.add_round(ordinal, spans or [])
+        if self.events is not None:
+            self.events.add_round(ordinal, outcomes)
+        for _, outcome in outcomes:
+            if isinstance(outcome, CrawlFailure):
+                self.study.failures.append(outcome)
+                continue
+            self.dataset.add(outcome)
+            if self.sink is not None:
+                self.sink(outcome)
+
+    def close(self) -> None:
+        """Close every open output and switch the tracer back off."""
+        if self.journal is not None:
+            self.journal.close()
+        if self.trace is not None:
+            self.trace.close()
+            self.study.tracer.disable()
+        if self.events is not None:
+            self.events.close()

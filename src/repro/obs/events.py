@@ -206,8 +206,9 @@ class CrawlEventBuilder:
     come from :meth:`Study.iter_rounds`, the treatment dims from the
     study's treatment table, and the outcome from the same
     ``(index, SerpRecord | CrawlFailure)`` stream the dataset merge
-    consumes — whether that stream arrives from the sequential loop, a
-    parallel merge, a supervised merge, or a checkpoint replay.
+    consumes — whether :class:`~repro.core.runner.RunOutputs` receives
+    it from an in-process run, a supervised merge, or a checkpoint
+    replay.
     """
 
     def __init__(self, path, *, study):

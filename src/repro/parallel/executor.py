@@ -39,17 +39,18 @@ Design
 * **The merge is a canonical-order sort.**  Workers stream one message
   per completed round; the parent flushes rounds in schedule order,
   each round's outcomes sorted by treatment index — the exact order
-  the sequential loop produces.  :class:`CrawlStats` counters are sums
+  the in-process run produces.  :class:`CrawlStats` counters are sums
   and merge associatively.
 * **Checkpoints are merge-time.**  Every worker ships its
   :meth:`Study.capture_state` snapshot with every round (the
   supervisor recovers dead workers from it); under ``checkpoint=path``
-  the parent also journals a round (outcomes + all shard states)
-  durably *before* releasing it to the dataset and sink.  On resume,
-  every shard restores its own snapshot and re-enters the schedule at
-  the first un-journalled round — a worker that had raced ahead of the
-  durable prefix simply re-crawls, byte-identically, because its state
-  was reset to the prefix boundary.
+  the parent's :class:`~repro.core.runner.RunOutputs` also journals a
+  round (outcomes + all shard states) durably *before* releasing it to
+  the dataset and sink.  On resume, every shard restores its own
+  snapshot and re-enters the schedule at the first un-journalled round
+  — a worker that had raced ahead of the durable prefix simply
+  re-crawls, byte-identically, because its state was reset to the
+  prefix boundary.
 
 The result: ``SerpDataset``, ``CrawlStats``, and the failure list are
 byte-identical to ``Study.run()`` on a single core, for any worker
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.datastore import SerpDataset
-from repro.core.runner import Study
+from repro.core.runner import RunOutputs, Study
 from repro.supervise.stats import SupervisorReport
 from repro.supervise.supervisor import KillSpec, SupervisorPolicy, _Supervisor
 
@@ -160,29 +161,12 @@ def run_parallel(
         workers: Requested worker count; the effective count is
             clamped to the number of occupied crawl machines.  Even
             ``1`` runs in a separate, killable worker process.
-        sink: Optional per-record callable, as in :meth:`Study.run`.
+        sink, checkpoint, trace, events: As in :meth:`Study.run`, and
+            handled by the same :class:`~repro.core.runner.RunOutputs`.
+            A round is released once *every* shard has reported it; the
+            trace gains ``supervisor.*`` spans for recovery events.
         start_method: ``multiprocessing`` start method override
             (default: ``fork`` when available).
-        checkpoint: Optional journal path, as in :meth:`Study.run`.
-            Rounds become durable only once *every* shard has reported
-            them; on resume all shards restart from the durable
-            boundary with their state restored.  The journal records
-            the effective worker count and refuses to resume under a
-            different one (per-shard snapshots only fit the shard
-            layout that produced them).
-        trace: Optional canonical trace path, as in :meth:`Study.run`.
-            Workers ship per-round span trees; the parent merges them
-            through the same :class:`~repro.obs.exporters.TraceBuilder`
-            the sequential run uses, so the file is byte-identical for
-            any worker count.  Recovery events are appended as
-            ``supervisor.*`` spans under the study root.  Mutually
-            exclusive with ``checkpoint``.
-        events: Optional canonical wide-event log path, as in
-            :meth:`Study.run`.  Crawl events are synthesized from the
-            merged outcome stream at flush time (the parent-side
-            builder pattern), so the file is byte-identical for any
-            worker count, across recoveries, and composes with
-            ``checkpoint``.
         policy: Detection/recovery knobs (default
             :class:`~repro.supervise.SupervisorPolicy`).
         kill_specs: :class:`~repro.supervise.KillSpec` murder points
@@ -196,26 +180,19 @@ def run_parallel(
             "parallel run requires a freshly constructed Study "
             "(this one has already crawled)"
         )
-    if trace is not None and checkpoint is not None:
-        raise ValueError(
-            "trace and checkpoint cannot be combined: the checkpoint "
-            "journal does not carry spans"
-        )
     plan = plan_shards(len(study.treatments), len(study.fleet), workers)
     report = SupervisorReport(workers=plan.workers)
     study.supervisor = report
-    dataset = SerpDataset()
-    study._sink = sink
-    writer = resume = builder = event_builder = supervisor = None
+    outputs = RunOutputs(
+        study,
+        workers=plan.workers,
+        sink=sink,
+        checkpoint=checkpoint,
+        trace=trace,
+        events=events,
+    )
+    supervisor = None
     try:
-        if events is not None:
-            event_builder = study._events_builder(events)
-        if checkpoint is not None:
-            writer, resume = study._open_journal(
-                checkpoint, plan.workers, dataset, event_builder
-            )
-        if trace is not None:
-            builder = study._trace_builder(trace)
         context = multiprocessing.get_context(
             start_method or _preferred_start_method()
         )
@@ -239,29 +216,18 @@ def run_parallel(
             context,
             context.Queue(maxsize=plan.workers * _QUEUE_DEPTH_PER_WORKER),
             payload=payload,
-            dataset=dataset,
-            writer=writer,
-            resume=resume,
-            builder=builder,
-            event_builder=event_builder,
+            outputs=outputs,
             kill_specs=tuple(kill_specs),
         )
         supervisor.run()
     finally:
-        study._sink = None
-        if writer is not None:
-            writer.close()
-        if builder is not None:
-            if report.events:
-                builder.add_trees(
-                    supervisor.event_trees(
-                        builder.trace_id, study.tracer.study_span_id()
-                    )
+        if outputs.trace is not None and report.events:
+            outputs.trace.add_trees(
+                supervisor.event_trees(
+                    outputs.trace.trace_id, study.tracer.study_span_id()
                 )
-            builder.close()
-            study.tracer.disable()
-        if event_builder is not None:
-            event_builder.close()
+            )
+        outputs.close()
         if supervisor is not None:
             supervisor.shutdown()
-    return dataset
+    return outputs.dataset

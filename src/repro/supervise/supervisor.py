@@ -57,7 +57,7 @@ stays visible in ``per_location_coverage`` — never silent loss.
 
 Journal
 -------
-With a checkpoint writer, a round is journalled at flush time —
+With a checkpoint journal, a round is journalled at flush time —
 outcomes in canonical order plus every shard's post-round snapshot —
 *before* it is released to the dataset and sink.  A quarantined shard's
 state line carries a ``quarantine`` marker (resume point and failure
@@ -85,8 +85,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.datastore import SerpDataset
-from repro.core.runner import CrawlFailure, CrawlStats, Study, serialize_outcome
+from repro.core.runner import CrawlFailure, CrawlStats, RunOutputs, Study
 from repro.faults.injector import FaultStats
 from repro.seeding import stable_hash
 from repro.supervise.stats import SupervisorEvent, SupervisorReport
@@ -214,6 +213,7 @@ class _WorkerHarness:
         self._submits = 0
 
     def arm(self, study: Study) -> None:
+        self.study = study
         network = study.network
         # Plan-driven worker faults fire only inside worker processes:
         # the injector consults this context (when the plan carries
@@ -242,7 +242,11 @@ class _WorkerHarness:
             ("heartbeat", self.worker_id, self.shard_id, ordinal, timestamp)
         )
 
-    def emit_round(self, ordinal: int, outcomes, state, spans) -> None:
+    def emit_round(self, scheduled, outcomes, spans) -> None:
+        # Recovery resumes a shard from its last accepted round, so a
+        # worker snapshots every round, journal or not.
+        ordinal = scheduled.ordinal
+        state = self.study.capture_state(scheduled.timestamp)
         self.queue.put(
             ("round", self.worker_id, self.shard_id, ordinal, outcomes, state, spans)
         )
@@ -422,9 +426,10 @@ class _Supervisor:
     """The parent-side supervision loop for one run.
 
     ``payload`` is what first-generation workers inherit (the warmed
-    study, or its config on the rebuild fallback); ``resume`` is the
-    journal's durable prefix, which seeds every shard's resume point
-    and snapshot.
+    study, or its config on the rebuild fallback); ``outputs`` is the
+    run's :class:`~repro.core.runner.RunOutputs`, whose durable journal
+    prefix seeds every shard's resume point and snapshot, and which
+    receives every merged round.
     """
 
     def __init__(
@@ -437,11 +442,7 @@ class _Supervisor:
         result_queue,
         *,
         payload,
-        dataset: SerpDataset,
-        writer=None,
-        resume=None,
-        builder=None,
-        event_builder=None,
+        outputs: RunOutputs,
         kill_specs: Tuple[KillSpec, ...] = (),
     ) -> None:
         self.study = study
@@ -451,10 +452,7 @@ class _Supervisor:
         self.context = context
         self.result_queue = result_queue
         self.payload = payload
-        self.dataset = dataset
-        self.writer = writer
-        self.builder = builder
-        self.event_builder = event_builder
+        self.outputs = outputs
         self.kill_specs = kill_specs
         self.total_rounds = study.round_count()
         self.slots: List[_WorkerSlot] = []
@@ -468,10 +466,11 @@ class _Supervisor:
         self.spans: Dict[int, list] = {}
         self.arrivals: Dict[int, Set[int]] = {}
         self.round_states: Dict[int, Dict[int, dict]] = {}
-        self.next_flush = resume.next_ordinal if resume is not None else 0
-        states = resume.worker_states if resume is not None else {}
+        self.next_flush = outputs.next_ordinal
         self.shards = [
-            _ShardState.from_journal(i, indices, self.next_flush, states.get(i))
+            _ShardState.from_journal(
+                i, indices, self.next_flush, outputs.resume_states.get(i)
+            )
             for i, indices in enumerate(plan.assignments)
         ]
         self._all_shards = frozenset(s.shard_id for s in self.shards)
@@ -499,7 +498,7 @@ class _Supervisor:
                 self.result_queue,
                 command_queue,
                 self.kill_specs,
-                self.builder is not None,
+                self.outputs.trace is not None,
             ),
             name=f"crawl-worker-{worker_id}",
             daemon=True,
@@ -583,7 +582,7 @@ class _Supervisor:
             self.pending.setdefault(ordinal, []).extend(outcomes)
             if round_spans is not None:
                 self.spans.setdefault(ordinal, []).extend(round_spans)
-            if self.writer is not None:
+            if self.outputs.journal is not None:
                 self.round_states.setdefault(ordinal, {})[shard_id] = state
             self.arrivals.setdefault(ordinal, set()).add(shard_id)
             shard.snapshot = state
@@ -623,28 +622,19 @@ class _Supervisor:
     def _flush_ready(self) -> None:
         """Release every round all shards have delivered, in order.
 
-        With a journal, the round (outcomes in canonical order plus
-        every shard's state) is durable *before* its records reach the
-        dataset and sink — a kill at any instant loses no acknowledged
-        record.
+        :meth:`RunOutputs.release` journals the round (outcomes in
+        canonical order plus every shard's state) *before* its records
+        reach the dataset and sink.
         """
         while self.arrivals.get(self.next_flush) == self._all_shards:
             ordinal = self.next_flush
             outcomes = sorted(self.pending.pop(ordinal), key=lambda pair: pair[0])
-            round_spans = self.spans.pop(ordinal, None)
             del self.arrivals[ordinal]
-            if self.writer is not None:
-                self.writer.append_round(
-                    ordinal,
-                    [serialize_outcome(outcome) for _, outcome in outcomes],
-                    self.round_states.pop(ordinal),
-                )
-            if self.builder is not None:
-                self.builder.add_round(ordinal, round_spans or [])
-            if self.event_builder is not None:
-                self.event_builder.add_round(ordinal, outcomes)
-            self.study._commit_outcomes(
-                self.dataset, [outcome for _, outcome in outcomes]
+            self.outputs.release(
+                ordinal,
+                outcomes,
+                self.round_states.pop(ordinal, None),
+                self.spans.pop(ordinal, None),
             )
             self.next_flush += 1
 
@@ -839,7 +829,7 @@ class _Supervisor:
             f"shard {shard.shard_id} quarantined after "
             f"{shard.failures_since_progress} consecutive worker failures"
         )
-        state = shard.journal_state() if self.writer is not None else None
+        state = shard.journal_state() if self.outputs.journal is not None else None
         for scheduled in self.study.iter_rounds():
             ordinal = scheduled.ordinal
             if ordinal < shard.next_ordinal:

@@ -333,15 +333,34 @@ class TestObservabilityCommands:
         prom = capsys.readouterr().out
         assert "# TYPE repro_crawl_pages_total counter" in prom
 
-    def test_run_trace_rejects_checkpoint(self, tmp_path):
+    def test_run_trace_rejects_checkpoint(self, tmp_path, capsys):
         argv = [
             "run", "--scale", "small", "--days", "1",
             "--out", str(tmp_path / "x.jsonl"),
             "--trace", str(tmp_path / "x.trace"),
             "--checkpoint", str(tmp_path / "x.ckpt"),
         ]
-        with pytest.raises(ValueError, match="checkpoint"):
-            main(argv)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "run: --trace and --checkpoint cannot be combined "
+            "(the checkpoint journal does not carry spans)"
+        ]
+        assert not any(tmp_path.iterdir())
+
+    def test_run_incompatible_checkpoint_is_one_line(self, tmp_path, capsys):
+        journal = tmp_path / "x.ckpt"
+        journal.write_text("not a journal\n")
+        argv = [
+            "run", "--scale", "small", "--days", "1",
+            "--out", str(tmp_path / "x.jsonl"),
+            "--checkpoint", str(journal),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"run: checkpoint {str(journal)!r}")
+        assert "Traceback" not in "\n".join(err)
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_serve_bench_trace(self, tmp_path, capsys):
         trace = tmp_path / "serve.trace.jsonl"

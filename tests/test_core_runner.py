@@ -164,13 +164,14 @@ class TestStudyRun:
         study = Study(config)
         seen = []
 
-        original = study._run_round
+        original = study._crawl_treatment
 
-        def spy(dataset, scheduled):
-            seen.append((scheduled.query.text, scheduled.timestamp))
-            return original(dataset, scheduled)
+        def spy(index, treatment, scheduled):
+            if index == 0:
+                seen.append((scheduled.query.text, scheduled.timestamp))
+            return original(index, treatment, scheduled)
 
-        study._run_round = spy
+        study._crawl_treatment = spy
         study.run()
         timestamps = [t for _, t in seen]
         assert timestamps == sorted(timestamps)
@@ -181,13 +182,14 @@ class TestStudyRun:
         config = StudyConfig.small(_mini_queries(), days=2, locations_per_granularity=2)
         study = Study(config)
         seen = []
-        original = study._run_round
+        original = study._crawl_treatment
 
-        def spy(dataset, scheduled):
-            seen.append((scheduled.day_offset, scheduled.timestamp))
-            return original(dataset, scheduled)
+        def spy(index, treatment, scheduled):
+            if index == 0:
+                seen.append((scheduled.day_offset, scheduled.timestamp))
+            return original(index, treatment, scheduled)
 
-        study._run_round = spy
+        study._crawl_treatment = spy
         study.run()
         day0 = [t for d, t in seen if d == 0]
         day1 = [t for d, t in seen if d == 1]
