@@ -126,3 +126,6 @@ class EngineCalibration:
             raise ValueError("poi_radius_miles must be positive")
         if self.ab_buckets <= 0:
             raise ValueError("ab_buckets must be positive")
+        for name in ("poi_candidate_limit", "maps_card_size", "news_card_size"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")

@@ -202,13 +202,12 @@ class Ranker:
     def prewarm_maps(self, query: Query, cells: Sequence[LatLon]) -> None:
         """Build maps cards for the given *snapped* cells ahead of serving.
 
-        The POI lookup behind a maps card is the most expensive cold
-        miss in the serving path, and cells repeat across shards
-        (copies of a location sit on different crawl machines), so the
-        pre-fork warmup computes each card once in the parent.  Callers
-        pass the gate-passing cell set predicted from the schedule walk
-        (:func:`repro.batch.predicted_maps_cells`); a missed prediction
-        just falls back to the lazy per-request path.
+        A maps card costs a POI lookup on a cold miss, and cells repeat
+        across shards (copies of a location sit on different crawl
+        machines), so the pre-fork warmup computes each card once in
+        the parent.  Callers pass the gate-passing cell set predicted
+        from the schedule walk (:func:`repro.batch.predicted_maps_cells`);
+        a missed prediction just falls back to the lazy per-request path.
         """
         if query.category is not QueryCategory.LOCAL:
             return

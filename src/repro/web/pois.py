@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from repro.geo.coords import LatLon
 from repro.seeding import derive_rng
-from repro.web.grid import GeoGrid, GridCell
+from repro.web.grid import DISTANCE_EPSILON_MILES, GeoGrid, GridCell
 from repro.web.naming import business_name, city_name
 from repro.web.urls import Url, slugify
 
@@ -192,7 +192,50 @@ class PoiDatabase:
 
         Sorted by planar distance from ``point`` (deterministic
         tie-break on poi_id); optionally truncated to ``limit``.
+
+        Cells are read nearest-first, and the walk stops once ``limit``
+        POIs are held and the next cell's rectangle lies farther than
+        the ``limit``-th distance plus :data:`DISTANCE_EPSILON_MILES`:
+        every POI of that cell and beyond then sorts after the ones
+        held.  The epsilon covers the lat/lon round trip of a POI's
+        coordinates, which can put it a hair outside its cell.  The
+        result equals a full scan of the disc (``_pois_near_reference``).
+
+        Raises ``ValueError`` on a negative radius or limit.
         """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be non-negative, got {limit}")
+        cells = self.grid.cells_nearest_first(point, radius_miles)  # checks the radius
+        if limit == 0:
+            return []
+        x, y = self.grid.to_xy_miles(point)
+        held: List[tuple] = []  # (distance, poi_id, poi)
+        stop_beyond = math.inf
+        for bound, cell in cells:
+            if bound > stop_beyond:
+                break
+            for poi in self.pois_in_cell(spec, cell):
+                px, py = self.grid.to_xy_miles(poi.location)
+                distance = math.hypot(x - px, y - py)
+                if distance <= radius_miles:
+                    held.append((distance, poi.poi_id, poi))
+            if limit is not None and len(held) >= limit:
+                held.sort()
+                del held[limit:]
+                stop_beyond = held[-1][0] + DISTANCE_EPSILON_MILES
+        held.sort()
+        return [poi for _, _, poi in held[:limit]]
+
+    def _pois_near_reference(
+        self,
+        spec: CategorySpec,
+        point: LatLon,
+        radius_miles: float,
+        *,
+        limit: Optional[int] = None,
+    ) -> List[Poi]:
+        """:meth:`pois_near` by a full scan of the disc: the oracle the
+        nearest-first walk is tested against."""
         pois: List[Poi] = []
         for cell in self.grid.cells_within(point, radius_miles):
             for poi in self.pois_in_cell(spec, cell):

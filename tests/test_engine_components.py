@@ -36,6 +36,19 @@ class TestCalibration:
         with pytest.raises(ValueError):
             EngineCalibration(poi_radius_miles=-1)
 
+    @pytest.mark.parametrize(
+        "field", ["poi_candidate_limit", "maps_card_size", "news_card_size"]
+    )
+    def test_negative_result_limit_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            EngineCalibration(**{field: -1})
+
+    @pytest.mark.parametrize(
+        "field", ["poi_candidate_limit", "maps_card_size", "news_card_size"]
+    )
+    def test_zero_result_limit_accepted(self, field):
+        assert getattr(EngineCalibration(**{field: 0}), field) == 0
+
 
 class TestSearchRequest:
     def test_empty_query_rejected(self):

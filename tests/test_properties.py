@@ -118,6 +118,26 @@ class TestGeoProperties:
         point = LatLon(lat, lon)
         assert grid.cell_of(point) in grid.cells_within(point, radius)
 
+    @settings(max_examples=200)
+    @given(
+        lats,
+        lons,
+        st.floats(min_value=0.0, max_value=8.0),
+        st.sampled_from([0.5, 1.0, 1.7, 3.0]),
+    )
+    def test_cells_nearest_first_is_the_disc_in_bound_order(
+        self, lat, lon, radius, cell_miles
+    ):
+        grid = GeoGrid(cell_miles)
+        point = LatLon(lat, lon)
+        walked = list(grid.cells_nearest_first(point, radius))
+        cells = [cell for _, cell in walked]
+        assert sorted(cells) == sorted(grid.cells_within(point, radius))
+        bounds = [bound for bound, _ in walked]
+        assert bounds == sorted(bounds)
+        x, y = grid.to_xy_miles(point)
+        assert bounds == [grid.rect_distance(x, y, c.ix, c.iy) for c in cells]
+
 
 class TestSeedingProperties:
     @given(st.integers(min_value=0, max_value=2**32), st.text(max_size=20))
