@@ -7,9 +7,7 @@ Examples::
     repro-study validate --machines 50
     repro-study demographics --dataset study.jsonl.gz
     repro-study serve-bench --routing geo-affinity --cache-size 4096
-    repro-study serve-bench --gateways 4 --out BENCH_serve.json
     repro-study chaos-serve --plan serve-chaos --gateways 3 --smoke
-    repro-study crawl-bench --workers 1,2,4,8 --out BENCH_crawl.json
     repro-study chaos --plan chaos --workers 2 --checkpoint crawl.ckpt
     repro-study run --scale small --out s.jsonl.gz --trace s.trace.jsonl
     repro-study trace s.trace.jsonl --check --chrome s.chrome.json
@@ -267,35 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write a JSONL trace of the served requests",
     )
-    serve.add_argument(
-        "--gateways",
-        type=int,
-        default=0,
-        help="fleet mode: sweep 1..N consistent-hash gateways instead of "
-        "the single-gateway path (0 keeps the legacy bench)",
-    )
-    serve.add_argument(
-        "--replication",
-        type=int,
-        default=2,
-        help="shard replication factor R in fleet mode",
-    )
-    serve.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="append a trajectory-v1 entry (e.g. BENCH_serve.json); "
-        "implies fleet mode",
-    )
-    serve.add_argument(
-        "--fail-on-regress",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="exit 1 if single-gateway throughput regresses more than PCT%% "
-        "against the trajectory baseline (implies fleet mode)",
-    )
-
     chaos_serve = sub.add_parser(
         "chaos-serve",
         help="hurt the gateway fleet under a fault plan and audit the "
@@ -494,49 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=200,
         help="give up if the run has not completed after this many "
         "simulated crashes",
-    )
-
-    crawl_bench = sub.add_parser(
-        "crawl-bench",
-        help="sweep crawl worker counts, prove byte parity, write BENCH_crawl.json",
-    )
-    crawl_bench.add_argument("--seed", type=int, default=DEFAULT_STUDY_SEED)
-    crawl_bench.add_argument(
-        "--workers",
-        default=None,
-        help="comma-separated worker counts (default: 1,2,4,8)",
-    )
-    crawl_bench.add_argument(
-        "--scale", choices=["standard", "smoke"], default="standard"
-    )
-    crawl_bench.add_argument(
-        "--gateway", action="store_true", help="route the crawl via the gateway"
-    )
-    crawl_bench.add_argument("--out", default="BENCH_crawl.json")
-    crawl_bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI tier: smoke scale, workers 1,2, parity enforced",
-    )
-    crawl_bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="also print a cProfile top-20 cumulative table of the sequential run",
-    )
-    crawl_bench.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="repeats per cell, interleaved (default 5); wall = min, "
-        "median alongside",
-    )
-    crawl_bench.add_argument(
-        "--fail-on-regress",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="exit non-zero if workers=1 throughput drops more than PCT%% "
-        "below the latest comparable BENCH_crawl.json entry",
     )
 
     trace = sub.add_parser(
@@ -1060,13 +986,6 @@ def _cmd_reportcard(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    fleet_mode = (
-        args.gateways > 0
-        or args.out is not None
-        or args.fail_on_regress is not None
-    )
-    if fleet_mode:
-        return _serve_bench_fleet(args)
     from repro.engine.datacenters import DatacenterCluster
     from repro.net.geoip import GeoIPDatabase
     from repro.queries.corpus import build_corpus
@@ -1084,28 +1003,32 @@ def _cmd_serve_bench(args) -> int:
     world = WebWorld(derive_seed(args.seed, "world"))
     cluster = DatacenterCluster()
     geoip = GeoIPDatabase()
-    population = ClientPopulation.generate(
-        args.seed, args.clients, cluster, pin_frontend=args.pin_frontend
-    )
-    population.register(geoip)
-    replicas = build_replicas(
-        world,
-        cluster,
-        geoip,
-        corpus=corpus,
-        seed=derive_seed(args.seed, "engine"),
-        queue_capacity=args.queue_capacity,
-    )
-    gateway = Gateway(
-        replicas,
-        geoip,
-        policy=args.routing,
-        cache_size=args.cache_size,
-        hedge_after_minutes=args.hedge_after,
-    )
-    loadgen = LoadGenerator(
-        list(corpus), population, args.seed, rate_per_minute=args.rate
-    )
+    try:
+        population = ClientPopulation.generate(
+            args.seed, args.clients, cluster, pin_frontend=args.pin_frontend
+        )
+        population.register(geoip)
+        replicas = build_replicas(
+            world,
+            cluster,
+            geoip,
+            corpus=corpus,
+            seed=derive_seed(args.seed, "engine"),
+            queue_capacity=args.queue_capacity,
+        )
+        gateway = Gateway(
+            replicas,
+            geoip,
+            policy=args.routing,
+            cache_size=args.cache_size,
+            hedge_after_minutes=args.hedge_after,
+        )
+        loadgen = LoadGenerator(
+            list(corpus), population, args.seed, rate_per_minute=args.rate
+        )
+    except ValueError as error:  # a bad load shape, refused before any load
+        print(f"serve-bench: {error}", file=sys.stderr)
+        return 2
     builder = None
     if args.trace:
         from repro.obs.exporters import TraceBuilder
@@ -1138,53 +1061,6 @@ def _cmd_serve_bench(args) -> int:
     return 0
 
 
-def _serve_bench_fleet(args) -> int:
-    """Fleet-mode serve bench: sweep sizes, trajectory, regression gate."""
-    from repro.serve.bench import (
-        load_trajectory,
-        run_serve_bench,
-        serve_regression_message,
-    )
-
-    sizes = (1,) if args.gateways <= 1 else (1, args.gateways)
-    history = []
-    if args.fail_on_regress is not None and args.out:
-        history = load_trajectory(args.out)
-    print(
-        f"serve-bench (fleet): sizes={list(sizes)} R={args.replication}, "
-        f"{args.requests} requests over {args.clients} lazy clients",
-        file=sys.stderr,
-    )
-    report = run_serve_bench(
-        fleet_sizes=sizes,
-        replication=args.replication,
-        requests=args.requests,
-        clients=args.clients,
-        rate_per_minute=args.rate,
-        routing=args.routing,
-        cache_size=args.cache_size,
-        queue_capacity=args.queue_capacity,
-        seed=args.seed,
-        out=args.out,
-    )
-    print(report.render())
-    if args.out:
-        print(f"trajectory -> {args.out}", file=sys.stderr)
-    if args.fail_on_regress is not None:
-        message = serve_regression_message(
-            report, history, threshold_pct=args.fail_on_regress
-        )
-        if message:
-            print(message, file=sys.stderr)
-            return 1
-        print(
-            f"no regression beyond {args.fail_on_regress:.0f}% "
-            f"({len(history)} baseline entries checked)",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def _cmd_chaos_serve(args) -> int:
     from repro.engine.datacenters import DatacenterCluster
     from repro.faults.plan import FaultPlan
@@ -1210,23 +1086,27 @@ def _cmd_chaos_serve(args) -> int:
     corpus = build_corpus()
     world = WebWorld(derive_seed(args.seed, "world"))
     cluster = DatacenterCluster()
-    population = LazyClientPopulation(args.seed, args.clients, cluster)
-    fleet = build_fleet(
-        world,
-        cluster,
-        population.geoip_view(),
-        count=gateways,
-        corpus=corpus,
-        seed=derive_seed(args.seed, "engine"),
-        queue_capacity=args.queue_capacity,
-        cache_size=args.cache_size,
-        policy=args.routing,
-        replication=args.replication,
-        plan=plan,
-    )
-    loadgen = LoadGenerator(
-        list(corpus), population, args.seed, rate_per_minute=args.rate
-    )
+    try:
+        population = LazyClientPopulation(args.seed, args.clients, cluster)
+        fleet = build_fleet(
+            world,
+            cluster,
+            population.geoip_view(),
+            count=gateways,
+            corpus=corpus,
+            seed=derive_seed(args.seed, "engine"),
+            queue_capacity=args.queue_capacity,
+            cache_size=args.cache_size,
+            policy=args.routing,
+            replication=args.replication,
+            plan=plan,
+        )
+        loadgen = LoadGenerator(
+            list(corpus), population, args.seed, rate_per_minute=args.rate
+        )
+    except ValueError as error:  # a bad load shape, refused before any load
+        print(f"chaos-serve: {error}", file=sys.stderr)
+        return 2
     print(
         f"chaos-serve: plan={args.plan} (fault seed {args.fault_seed}, "
         f"~{plan.serve_fault_rate:.1%} of requests fault a shard), "
@@ -1638,66 +1518,6 @@ def _cmd_disk_chaos(args) -> int:
     return status
 
 
-def _cmd_crawl_bench(args) -> int:
-    from repro.parallel.bench import (
-        DEFAULT_REPEATS,
-        DEFAULT_WORKER_COUNTS,
-        SMOKE_WORKER_COUNTS,
-        load_trajectory,
-        profile_sequential,
-        regression_message,
-        run_crawl_bench,
-    )
-
-    if args.smoke:
-        scale, counts = "smoke", SMOKE_WORKER_COUNTS
-    else:
-        scale = args.scale
-        counts = (
-            tuple(int(part) for part in args.workers.split(",") if part)
-            if args.workers
-            else DEFAULT_WORKER_COUNTS
-        )
-    repeats = args.repeats if args.repeats is not None else DEFAULT_REPEATS
-    print(
-        f"crawl-bench: scale={scale}, workers={list(counts)}, "
-        f"gateway={args.gateway}, repeats={repeats} ...",
-        file=sys.stderr,
-    )
-    history = load_trajectory(args.out)
-    report = run_crawl_bench(
-        worker_counts=counts,
-        scale=scale,
-        seed=args.seed,
-        route_via_gateway=args.gateway,
-        out=args.out,
-        repeats=repeats,
-    )
-    print(report.render())
-    print(f"appended to {args.out}", file=sys.stderr)
-    if args.profile:
-        print()
-        print(
-            profile_sequential(
-                scale=scale, seed=args.seed, route_via_gateway=args.gateway
-            )
-        )
-    if not report.parity_ok:
-        print(
-            "PARITY FAILURE: parallel dataset differs from sequential",
-            file=sys.stderr,
-        )
-        return 1
-    if args.fail_on_regress is not None:
-        message = regression_message(
-            report, history, threshold_pct=args.fail_on_regress
-        )
-        if message is not None:
-            print(message, file=sys.stderr)
-            return 1
-    return 0
-
-
 def _cmd_schedule(args) -> int:
     from repro.core.schedule import simulate_crawl_schedule
 
@@ -1906,7 +1726,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "chaos": _cmd_chaos,
         "fsck": _cmd_fsck,
         "disk-chaos": _cmd_disk_chaos,
-        "crawl-bench": _cmd_crawl_bench,
         "trace": _cmd_trace,
         "metrics": _cmd_metrics,
         "telemetry": _cmd_telemetry,

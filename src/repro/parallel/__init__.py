@@ -6,9 +6,7 @@ Public surface:
   sharded over N supervised worker processes, byte-identical to the
   sequential run (reachable as ``Study.run(workers=N)``);
 * :func:`plan_shards` / :class:`ShardPlan` — the machine-granular
-  treatment partition the parity argument rests on;
-* :func:`run_crawl_bench` — the worker-count sweep behind
-  ``repro-study crawl-bench`` and ``BENCH_crawl.json``.
+  treatment partition the parity argument rests on.
 """
 
 from repro.parallel.executor import (
@@ -16,23 +14,9 @@ from repro.parallel.executor import (
     plan_shards,
     run_parallel,
 )
-from repro.parallel.bench import (
-    BenchCell,
-    BenchReport,
-    bench_config,
-    dataset_digest,
-    profile_sequential,
-    run_crawl_bench,
-)
 
 __all__ = [
     "ShardPlan",
     "plan_shards",
     "run_parallel",
-    "BenchCell",
-    "BenchReport",
-    "bench_config",
-    "dataset_digest",
-    "profile_sequential",
-    "run_crawl_bench",
 ]

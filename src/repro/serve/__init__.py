@@ -13,12 +13,6 @@ See ``docs/SERVING.md`` for the architecture and
 """
 
 from repro.serve.admission import DEFAULT_SERVICE_MINUTES, QueueSlot, ReplicaQueue
-from repro.serve.bench import (
-    ServeBenchCell,
-    ServeBenchReport,
-    run_serve_bench,
-    serve_regression_message,
-)
 from repro.serve.cache import CacheKey, SerpCache
 from repro.serve.chaos import ServeChaos, ServeChaosReport
 from repro.serve.fleet import (
@@ -70,10 +64,6 @@ __all__ = [
     "shard_key_of",
     "ServeChaos",
     "ServeChaosReport",
-    "ServeBenchCell",
-    "ServeBenchReport",
-    "run_serve_bench",
-    "serve_regression_message",
     "ClientPopulation",
     "LazyClientGeoIP",
     "LazyClientPopulation",

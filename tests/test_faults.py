@@ -253,6 +253,13 @@ class TestFaultyNetwork:
         html_a = study_a.treatments[0].browser.search("Starbucks", 0.0).html
         html_b = study_b.treatments[0].browser.search("Starbucks", 0.0).html
         assert html_a == html_b
+        # The whole crawl, too: the hardened path (FaultyNetwork, per-IP
+        # breakers, fault accounting) with nothing injected must collect
+        # the same records.
+        plain = Study(_tiny_config()).run()
+        calm = Study(_tiny_config(fault_plan=FaultPlan())).run()
+        assert len(plain) > 0
+        assert [r.to_dict() for r in calm] == [r.to_dict() for r in plain]
 
     def test_injected_faults_raise_typed_exceptions(self):
         crash = _Harness(FaultPlan(crash_rate=1.0))

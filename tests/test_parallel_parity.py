@@ -6,6 +6,7 @@ to the same bytes as the sequential run, stats counters are equal, and
 the failure list is equal, for every worker count and routing mode.
 """
 
+import hashlib
 import json
 import multiprocessing
 
@@ -14,8 +15,21 @@ import pytest
 from repro.core.experiment import StudyConfig
 from repro.core.runner import CrawlStats, Study
 from repro.engine.calibration import EngineCalibration
-from repro.parallel import dataset_digest, plan_shards, run_parallel
+from repro.parallel import plan_shards, run_parallel
 from repro.queries.corpus import build_corpus
+
+
+def dataset_digest(dataset) -> str:
+    """SHA-256 over the dataset's canonical JSONL bytes.
+
+    Exactly what :meth:`SerpDataset.save` writes, so digest equality
+    *is* byte-identity of the persisted artefact.
+    """
+    hasher = hashlib.sha256()
+    for record in dataset:
+        hasher.update(json.dumps(record.to_dict()).encode("utf-8"))
+        hasher.update(b"\n")
+    return hasher.hexdigest()
 
 
 def _queries():
