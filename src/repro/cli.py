@@ -380,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fsck = sub.add_parser(
         "fsck",
-        help="scan a record log (checkpoint, audit store, event log) for "
-        "torn tails and corruption; --repair scavenges",
+        help="scan a record log (checkpoint, audit store, event log, trace) "
+        "for torn tails and corruption; --repair scavenges",
     )
     fsck.add_argument("path", help="record-log path (rotated segments included)")
     fsck.add_argument(
@@ -577,8 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
         tel.add_argument(
             "--stream",
             default=None,
-            help="restrict to one stream (crawl, serve, serve.control, "
-            "gateway, audit)",
+            help="restrict to one stream (crawl, serve, serve.control, audit)",
         )
         tel.add_argument(
             "--where",
@@ -1530,6 +1529,13 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
+def _print_invalid(problems) -> int:
+    """One ``INVALID:`` line per problem on stderr; the exit code, 1."""
+    for problem in problems:
+        print(f"INVALID: {problem}", file=sys.stderr)
+    return 1
+
+
 def _cmd_trace(args) -> int:
     from repro.obs.exporters import (
         read_trace,
@@ -1538,34 +1544,31 @@ def _cmd_trace(args) -> int:
         write_speedscope,
     )
     from repro.obs.profile import profile_trace, write_folded
+    from repro.store import StoreCorruption
 
-    acted = False
-    if args.check:
-        problems = validate_trace(args.path)
-        if problems:
-            for problem in problems:
-                print(f"INVALID: {problem}", file=sys.stderr)
-            return 1
-        header, spans, summary = read_trace(args.path)
-        print(
-            f"{args.path}: ok (trace {header['trace_id']}, "
-            f"{summary['rounds']} round(s), {summary['spans']} spans)"
-        )
-        acted = True
-    if args.chrome:
-        write_chrome_trace(args.path, args.chrome)
-        print(f"chrome trace -> {args.chrome}", file=sys.stderr)
-        acted = True
-    if args.folded:
-        write_folded(args.path, args.folded)
-        print(f"folded stacks -> {args.folded}", file=sys.stderr)
-        acted = True
-    if args.speedscope:
-        write_speedscope(args.path, args.speedscope)
-        print(f"speedscope profile -> {args.speedscope}", file=sys.stderr)
-        acted = True
-    if not acted:
-        print(profile_trace(args.path).render(top=args.top))
+    try:
+        if args.check:
+            problems = validate_trace(args.path)
+            if problems:
+                return _print_invalid(problems)
+            header, spans, summary = read_trace(args.path)
+            print(
+                f"{args.path}: ok (trace {header['trace_id']}, "
+                f"{summary['rounds']} round(s), {summary['spans']} spans)"
+            )
+        if args.chrome:
+            write_chrome_trace(args.path, args.chrome)
+            print(f"chrome trace -> {args.chrome}", file=sys.stderr)
+        if args.folded:
+            write_folded(args.path, args.folded)
+            print(f"folded stacks -> {args.folded}", file=sys.stderr)
+        if args.speedscope:
+            write_speedscope(args.path, args.speedscope)
+            print(f"speedscope profile -> {args.speedscope}", file=sys.stderr)
+        if not (args.check or args.chrome or args.folded or args.speedscope):
+            print(profile_trace(args.path).render(top=args.top))
+    except StoreCorruption:
+        return _print_invalid(validate_trace(args.path))
     return 0
 
 
@@ -1610,8 +1613,12 @@ def _cmd_telemetry(args) -> int:
         rollup,
         write_html_report,
     )
+    from repro.store import StoreCorruption
 
-    header, events, _ = read_events(args.path)
+    try:
+        header, events, _ = read_events(args.path)
+    except StoreCorruption:
+        return _print_invalid(validate_events(args.path))
     exit_code = 0
     sub = args.telemetry_command
     if sub == "query":
@@ -1671,9 +1678,7 @@ def _cmd_telemetry(args) -> int:
     else:
         problems = validate_events(args.path)
         if problems:
-            for problem in problems:
-                print(f"INVALID: {problem}", file=sys.stderr)
-            return 1
+            return _print_invalid(problems)
         streams = {}
         for event in events:
             stream = event.get("stream", "?")

@@ -9,15 +9,18 @@ path, virtual latency.  Rollups (:mod:`repro.obs.telemetry`) and SLO
 evaluation (:mod:`repro.obs.slo`) are then *queries over the log*, not
 separate instrumentation.
 
-The on-disk format is JSON Lines with three record kinds::
+The on-disk format is a :mod:`repro.store` record log with three
+record kinds::
 
     {"kind": "header",  "version": 1, "log_id": ..., "meta": {...}}
     {"kind": "event",   "id": ..., "stream": ..., "ts": ..., ...dims...}
     {"kind": "summary", "log_id": ..., "events": N, "streams": {...}}
 
-Every line is ``json.dumps(..., sort_keys=True)`` with fixed
-separators, like the trace format — byte determinism is a format
-property.
+Every payload is :func:`canonical_json` (sorted keys, fixed
+separators) — byte determinism is a format property.  Trace files
+(:mod:`repro.obs.exporters`) share the header / body / summary layout,
+so both formats are read by :func:`read_layout` and checked by
+:func:`validate_layout`.
 
 Streams
 -------
@@ -37,9 +40,6 @@ Streams
     backfills.  Serve events carry the exact window-accounting marks
     (``counted``) the brownout controller used, so the SLO engine can
     reproduce its bad-fraction arithmetic without duplicating it.
-``gateway``
-    One event per request through a bare :class:`~repro.serve.gateway.
-    Gateway` (single-gateway serving, outside a fleet).
 ``audit``
     One event per completed audit cycle, carrying the cycle's drift
     alerts — the SLO ledger folds these in verbatim.
@@ -52,7 +52,7 @@ contract as :class:`~repro.obs.trace.Tracer`).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.obs.trace import format_id
 from repro.seeding import stable_hash
@@ -64,16 +64,21 @@ __all__ = [
     "EventRecorder",
     "NULL_RECORDER",
     "CrawlEventBuilder",
+    "LogLayout",
+    "canonical_json",
     "crawl_event_id",
     "crawl_span_id",
     "read_events",
+    "read_layout",
     "validate_events",
+    "validate_layout",
 ]
 
 EVENTS_VERSION = 1
 
 
-def _dumps(payload: dict) -> str:
+def canonical_json(payload: dict) -> str:
+    """One record's payload: sorted keys, fixed separators."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -96,29 +101,12 @@ def crawl_span_id(trace_id: str, ordinal: int, treatment: int) -> str:
 
 
 class EventLog:
-    """Streams canonical wide-event JSONL to a file.
+    """Streams canonical wide events to one CRC32-framed record log."""
 
-    Records are CRC32-framed through :mod:`repro.store` (the payload
-    inside the frame is the same canonical JSON as ever, so rollup and
-    SLO byte-identity are untouched).  ``segment_bytes`` turns on
-    :class:`~repro.store.record_log.RecordLogWriter` rotation for
-    long-lived logs; the default is one file, matching the readers'
-    single-path API.
-    """
-
-    def __init__(
-        self,
-        path,
-        *,
-        log_id: str,
-        meta: Optional[dict] = None,
-        segment_bytes: Optional[int] = None,
-    ):
+    def __init__(self, path, *, log_id: str, meta: Optional[dict] = None):
         # Observability output: no directory fsync, no per-record
         # fsync — an event log is replayable, not load-bearing state.
-        self._log = RecordLogWriter.create(
-            path, segment_bytes=segment_bytes, fsync_directory=False
-        )
+        self._log = RecordLogWriter.create(path, fsync_directory=False)
         self.log_id = log_id
         self._events = 0
         self._streams: Dict[str, int] = {}
@@ -133,7 +121,7 @@ class EventLog:
         )
 
     def _write(self, payload: dict) -> None:
-        self._log.append(_dumps(payload))
+        self._log.append(canonical_json(payload))
 
     def emit(self, event: dict) -> None:
         """Write one event record (``kind``/bookkeeping added here)."""
@@ -260,8 +248,43 @@ class CrawlEventBuilder:
         self.log.close()
 
 
-def read_events(path) -> Tuple[dict, List[dict], Optional[dict]]:
-    """Parse a wide-event file into (header, events, summary).
+class LogLayout(NamedTuple):
+    """One header / body / summary record log: the noun its problem
+    strings use, its body records' ``kind``, the id field its header
+    and summary share, and its format version."""
+
+    name: str
+    body: str
+    id_field: str
+    version: int
+
+
+EVENTS_LAYOUT = LogLayout("wide-event", "event", "log_id", EVENTS_VERSION)
+
+
+def _split(
+    records: Iterable[dict], layout: LogLayout
+) -> Tuple[Optional[dict], List[dict], Optional[dict], List[str]]:
+    """(header, body records, summary, unknown kinds) of a record stream."""
+    header: Optional[dict] = None
+    summary: Optional[dict] = None
+    body: List[dict] = []
+    unknown: List[str] = []
+    for record in records:
+        kind = record.get("kind")
+        if kind == layout.body:
+            body.append(record)
+        elif kind == "header":
+            header = record
+        elif kind == "summary":
+            summary = record
+        else:
+            unknown.append(kind)
+    return header, body, summary, unknown
+
+
+def read_layout(path, layout: LogLayout) -> Tuple[dict, List[dict], Optional[dict]]:
+    """Parse a header / body / summary log into (header, body, summary).
 
     Torn tails are tolerated: the durable prefix is returned (with
     ``summary`` ``None`` when the summary line was lost), matching how
@@ -270,31 +293,27 @@ def read_events(path) -> Tuple[dict, List[dict], Optional[dict]]:
     :class:`~repro.store.record_log.StoreCorruption`; framed and
     legacy unframed files both load.
     """
-    header: Optional[dict] = None
-    summary: Optional[dict] = None
-    events: List[dict] = []
-    for record, _ in read_log(path):
-        kind = record.get("kind")
-        if kind == "header":
-            header = record
-        elif kind == "event":
-            events.append(record)
-        elif kind == "summary":
-            summary = record
-        else:
-            raise ValueError(f"unknown event record kind {kind!r}")
+    header, body, summary, unknown = _split(
+        (record for record, _ in read_log(path)), layout
+    )
+    if unknown:
+        raise ValueError(f"unknown {layout.name} record kind {unknown[0]!r}")
     if header is None:
-        raise ValueError(f"{path}: not a wide-event file (no header line)")
-    return header, events, summary
+        raise ValueError(f"{path}: not a {layout.name} file (no header line)")
+    return header, body, summary
 
 
-def validate_events(path) -> List[str]:
-    """Structural checks over a wide-event file (empty list = ok).
+def validate_layout(
+    path, layout: LogLayout
+) -> Tuple[List[str], Optional[dict], List[dict], Optional[dict]]:
+    """The checks every header / body / summary log shares.
 
-    Damage is reported, never raised: a torn tail yields a
-    ``truncated: true`` problem naming the byte offset of the durable
-    prefix, and interior corruption yields one problem per damaged
-    region with its segment coordinates.
+    Returns (problems, header, body, summary) so a format's own
+    validator can go on to check its body records; ``header`` is
+    ``None`` when the file is not a log of this layout at all.  Damage
+    is reported, never raised: a torn tail yields a ``truncated: true``
+    problem naming the byte offset of the durable prefix, and interior
+    corruption one problem per damaged region.
     """
     problems: List[str] = []
     report = scan_log(path)
@@ -309,25 +328,43 @@ def validate_events(path) -> List[str]:
             f"{report.durable_end} ({report.size - report.durable_end} "
             "byte(s) torn)"
         )
-    header: Optional[dict] = None
-    summary: Optional[dict] = None
-    events: List[dict] = []
-    for scanned in report.records:
-        kind = scanned.obj.get("kind")
-        if kind == "header":
-            header = scanned.obj
-        elif kind == "event":
-            events.append(scanned.obj)
-        elif kind == "summary":
-            summary = scanned.obj
-        else:
-            problems.append(f"unknown event record kind {kind!r}")
+    header, body, summary, unknown = _split(
+        (scanned.obj for scanned in report.records), layout
+    )
+    problems.extend(f"unknown {layout.name} record kind {kind!r}" for kind in unknown)
     if header is None:
-        return [f"{path}: not a wide-event file (no header line)"] + problems
-    if header.get("version") != EVENTS_VERSION:
-        problems.append(f"unsupported events version {header.get('version')!r}")
-    if not header.get("log_id"):
-        problems.append("header has no log_id")
+        problems.insert(0, f"{path}: not a {layout.name} file (no header line)")
+        return problems, None, body, summary
+    if header.get("version") != layout.version:
+        problems.append(
+            f"unsupported {layout.name} version {header.get('version')!r}"
+        )
+    if not header.get(layout.id_field):
+        problems.append(f"header has no {layout.id_field}")
+    if summary is None:
+        problems.append(f"no summary line (truncated {layout.name} file?)")
+    elif summary.get(layout.id_field) != header.get(layout.id_field):
+        problems.append(f"summary {layout.id_field} differs from header")
+    return problems, header, body, summary
+
+
+def read_events(path) -> Tuple[dict, List[dict], Optional[dict]]:
+    """Parse a wide-event file into (header, events, summary).
+
+    See :func:`read_layout` for how damage is treated.
+    """
+    return read_layout(path, EVENTS_LAYOUT)
+
+
+def validate_events(path) -> List[str]:
+    """Structural checks over a wide-event file (empty list = ok).
+
+    Beyond :func:`validate_layout`'s: event ids present and unique,
+    every event has a stream and a ``ts``, summary counts match.
+    """
+    problems, header, events, summary = validate_layout(path, EVENTS_LAYOUT)
+    if header is None:
+        return problems
     seen = set()
     streams: Dict[str, int] = {}
     for event in events:
@@ -344,9 +381,7 @@ def validate_events(path) -> List[str]:
             streams[stream] = streams.get(stream, 0) + 1
         if "ts" not in event:
             problems.append(f"event {event_id} has no ts")
-    if summary is None:
-        problems.append("no summary line (truncated log?)")
-    else:
+    if summary is not None:
         if summary.get("events") != len(events):
             problems.append(
                 f"summary says {summary.get('events')} events, file holds "
@@ -354,6 +389,4 @@ def validate_events(path) -> List[str]:
             )
         if summary.get("streams") != streams:
             problems.append("summary stream counts differ from the file")
-        if summary.get("log_id") != header.get("log_id"):
-            problems.append("summary log_id differs from header")
     return problems

@@ -1,6 +1,8 @@
-"""Trace exporters: canonical JSONL, validation, Chrome ``trace_event``.
+"""Trace exporters: the canonical trace file, validation, Chrome ``trace_event``.
 
-The on-disk trace is JSON Lines with three record kinds::
+The on-disk trace is a CRC32-framed :mod:`repro.store` record log —
+one ``~F1 <length> <crc32> <payload>`` line per record, the same
+framing as every journal and event log — with three record kinds::
 
     {"kind": "header",  "version": 1, "trace_id": ..., "meta": {...}}
     {"kind": "span",    "id": ..., "parent": ..., "name": ..., "start": ...,
@@ -10,9 +12,14 @@ The on-disk trace is JSON Lines with three record kinds::
 Spans are written flattened (parent links, no nesting) in canonical
 order: per round, the round span first, then each treatment's tree
 depth-first in ascending treatment order; after the last round, the
-root ``study.run`` span, then the summary.  Every line is
-``json.dumps(..., sort_keys=True)`` with fixed separators — byte
-determinism is a format property, not a hope.
+root ``study.run`` span, then the summary.  Every payload is
+:func:`~repro.obs.events.canonical_json` — byte determinism is a
+format property, not a hope.  Wide-event logs share this header /
+body / summary layout and its reader and checks
+(:func:`~repro.obs.events.read_layout`,
+:func:`~repro.obs.events.validate_layout`): a torn tail is tolerated,
+interior corruption raises, ``repro fsck`` scans and repairs trace
+files, and legacy unframed traces still load.
 
 ``meta`` is the study's checkpoint fingerprint: the same dict that
 gates checkpoint resume, so a trace is self-describing about which
@@ -28,7 +35,9 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.obs.events import LogLayout, canonical_json, read_layout, validate_layout
 from repro.obs.trace import TRACE_VERSION
+from repro.store.record_log import RecordLogWriter
 
 __all__ = [
     "TraceBuilder",
@@ -41,8 +50,7 @@ __all__ = [
 ]
 
 
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+TRACE_LAYOUT = LogLayout("trace", "span", "trace_id", TRACE_VERSION)
 
 
 def _walk(node: dict) -> Iterator[dict]:
@@ -80,7 +88,8 @@ class TraceBuilder:
     def __init__(self, path, *, trace_id: str, meta: dict, replay=None):
         from repro.obs.trace import Tracer
 
-        self._handle = open(path, "w", encoding="utf-8")
+        # Observability output, like the event log: no directory fsync.
+        self._log = RecordLogWriter.create(path, fsync_directory=False)
         self.trace_id = trace_id
         self.replay = replay
         keyed = Tracer()
@@ -102,7 +111,7 @@ class TraceBuilder:
         )
 
     def _write(self, payload: dict) -> None:
-        self._handle.write(_dumps(payload) + "\n")
+        self._log.append(canonical_json(payload))
 
     def add_round(self, ordinal: int, trees: List[dict]) -> None:
         """Write one round: its span, then each treatment tree."""
@@ -174,87 +183,31 @@ class TraceBuilder:
                 "spans": self._spans,
             }
         )
-        self._handle.close()
-
-
-def _scan_trace(path):
-    """Parse a trace's durable prefix; (header, spans, summary, torn, size).
-
-    ``torn`` is the byte offset where an unterminated or unparseable
-    tail begins (``None`` when the file is whole) — the trace format is
-    unframed JSONL, so like every pre-framing journal reader the
-    recovery rule is: the durable prefix is everything before the first
-    line that fails to parse.
-    """
-    header: Optional[dict] = None
-    summary: Optional[dict] = None
-    spans: List[dict] = []
-    torn: Optional[int] = None
-    with open(path, "rb") as handle:
-        data = handle.read()
-    offset = 0
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        if newline < 0:
-            torn = offset  # the write in flight at death
-            break
-        line = data[offset : newline].strip()
-        if line:
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                torn = offset
-                break
-            kind = record.get("kind")
-            if kind == "header":
-                header = record
-            elif kind == "span":
-                spans.append(record)
-            elif kind == "summary":
-                summary = record
-            else:
-                raise ValueError(f"unknown trace record kind {kind!r}")
-        offset = newline + 1
-    return header, spans, summary, torn, len(data)
+        self._log.close()
 
 
 def read_trace(path) -> Tuple[dict, List[dict], Optional[dict]]:
     """Parse a trace file into (header, spans, summary).
 
     Torn tails are tolerated: the durable prefix is returned, with
-    ``summary`` ``None`` when the summary line was lost.
+    ``summary`` ``None`` when the summary line was lost.  Interior
+    corruption raises :class:`~repro.store.record_log.StoreCorruption`.
     """
-    header, spans, summary, _, _ = _scan_trace(path)
-    if header is None:
-        raise ValueError(f"{path}: not a trace file (no header line)")
-    return header, spans, summary
+    return read_layout(path, TRACE_LAYOUT)
 
 
 def validate_trace(path) -> List[str]:
     """Structural checks over a trace file; returns problems (empty = ok).
 
-    Checks: header present and versioned; no torn tail (reported as
-    ``truncated: true`` with the byte offset of the durable prefix);
-    span ids unique; every parent id exists (the root's empty parent
-    excepted); ``end >= start`` and events inside their span's bounds;
-    round ordinals contiguous from 0; summary counts match the file.
+    Beyond :func:`~repro.obs.events.validate_layout`'s (damage, header,
+    summary id): span ids unique; every parent id exists (the root's
+    empty parent excepted) and there is exactly one root; ``end >=
+    start`` and events inside their span's bounds; round ordinals
+    contiguous from 0; summary counts match the file.
     """
-    problems: List[str] = []
-    try:
-        header, spans, summary, torn, size = _scan_trace(path)
-    except (ValueError, json.JSONDecodeError) as error:
-        return [str(error)]
+    problems, header, spans, summary = validate_layout(path, TRACE_LAYOUT)
     if header is None:
-        return [f"{path}: not a trace file (no header line)"]
-    if torn is not None:
-        problems.append(
-            f"truncated: true — durable prefix ends at byte {torn} "
-            f"({size - torn} byte(s) torn)"
-        )
-    if header.get("version") != TRACE_VERSION:
-        problems.append(f"unsupported trace version {header.get('version')!r}")
-    if not header.get("trace_id"):
-        problems.append("header has no trace_id")
+        return problems
     seen: Dict[str, dict] = {}
     for span in spans:
         span_id = span["id"]
@@ -288,9 +241,7 @@ def validate_trace(path) -> List[str]:
     )
     if ordinals != list(range(len(ordinals))):
         problems.append(f"round ordinals not contiguous from 0: {ordinals[:10]}...")
-    if summary is None:
-        problems.append("no summary line (truncated trace?)")
-    else:
+    if summary is not None:
         if summary.get("spans") != len(spans):
             problems.append(
                 f"summary says {summary.get('spans')} spans, file holds {len(spans)}"
@@ -300,8 +251,6 @@ def validate_trace(path) -> List[str]:
                 f"summary says {summary.get('rounds')} rounds, file holds "
                 f"{len(ordinals)}"
             )
-        if summary.get("trace_id") != header.get("trace_id"):
-            problems.append("summary trace_id differs from header")
     return problems
 
 
@@ -380,7 +329,7 @@ def chrome_trace(path) -> dict:
 
 
 def write_chrome_trace(path, out) -> None:
-    """Export ``path`` (canonical JSONL) as Chrome trace JSON at ``out``."""
+    """Export the trace file ``path`` as Chrome trace JSON at ``out``."""
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(chrome_trace(path), handle, sort_keys=True)
         handle.write("\n")
@@ -489,7 +438,7 @@ def speedscope_trace(path) -> dict:
 
 
 def write_speedscope(path, out) -> None:
-    """Export ``path`` (canonical JSONL) as speedscope JSON at ``out``."""
+    """Export the trace file ``path`` as speedscope JSON at ``out``."""
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(speedscope_trace(path), handle, sort_keys=True)
         handle.write("\n")

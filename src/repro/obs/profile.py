@@ -196,7 +196,7 @@ def folded_stacks(path) -> List[str]:
 
 
 def write_folded(path, out) -> None:
-    """Export ``path`` (canonical JSONL trace) as folded stacks at ``out``."""
+    """Export the trace file ``path`` as folded stacks at ``out``."""
     with open(out, "w", encoding="utf-8") as handle:
         for line in folded_stacks(path):
             handle.write(line + "\n")

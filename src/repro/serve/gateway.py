@@ -48,7 +48,6 @@ from repro.faults.breaker import BreakerBoard
 from repro.faults.retry import DEFAULT_RETRY_CAP_MINUTES, RetryPolicy
 from repro.geo.coords import LatLon
 from repro.net.geoip import GeoIPDatabase
-from repro.obs.events import NULL_RECORDER
 from repro.obs.trace import NULL_TRACER
 from repro.queries.corpus import QueryCorpus
 from repro.seeding import stable_hash
@@ -221,9 +220,6 @@ class Gateway:
         # is not canonical, so crawl traces reconstruct gateway spans
         # at merge time via repro.obs.replay instead.
         self.tracer = NULL_TRACER
-        # Wide-event recorder for the bare-gateway ``gateway`` stream;
-        # fleets leave this detached (the front tier emits instead).
-        self.events = NULL_RECORDER
 
     # -- SearchEngine-compatible surface --------------------------------------
 
@@ -278,8 +274,6 @@ class Gateway:
                         attempts=0,
                         hedged=False,
                     )
-                    if self.events.enabled:
-                        self._emit_event(request, result)
                     if tracing:
                         self.tracer.event("cache.hit", at=now)
                         self.tracer.end(served_by="cache")
@@ -295,48 +289,9 @@ class Gateway:
         result = self._dispatch(dispatch_request, location, key)
         if key is not None and result.response.ok and not result.degraded:
             self.cache.put(key, result.response, now)
-        if self.events.enabled:
-            self._emit_event(request, result)
         if tracing:
             self.tracer.end(served_by=result.served_by, attempts=result.attempts)
         return result
-
-    def _emit_event(self, request: SearchRequest, result: GatewayResult) -> None:
-        """Write this request's ``gateway`` wide event."""
-        if result.degraded:
-            outcome = "served_stale"
-        elif result.response.ok:
-            outcome = "served_fresh"
-        elif result.response.status is ResponseStatus.OVERLOADED:
-            outcome = "shed"
-        else:
-            outcome = "failed"
-        if result.cache_hit:
-            cache = "hit"
-        elif request.cookie_id is not None:
-            cache = "bypass"
-        elif result.degraded:
-            cache = "stale"
-        else:
-            cache = "miss"
-        extra = {}
-        span = self.tracer.current_span_id()
-        if span is not None:
-            extra["span"] = span
-        self.events.emit(
-            "gateway",
-            key=(request.nonce,),
-            outcome=outcome,
-            cache=cache,
-            served_by=result.served_by,
-            latency=round(result.latency_minutes, 6),
-            wait=round(result.wait_minutes, 6),
-            attempts=result.attempts,
-            hedged=result.hedged,
-            status=result.response.status.name,
-            **request.wide_dims(),
-            **extra,
-        )
 
     # -- internals -----------------------------------------------------------------
 

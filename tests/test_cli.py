@@ -287,6 +287,38 @@ class TestObservabilityCommands:
         assert main(["trace", str(bogus), "--check"]) == 1
         assert "INVALID" in capsys.readouterr().err
 
+    def test_trace_reports_corruption_without_traceback(
+        self, traced_run, tmp_path, capsys
+    ):
+        from tests.test_store import _flip_payload_digit
+
+        trace, _ = traced_run
+        flipped = tmp_path / "flipped.trace.jsonl"
+        flipped.write_bytes(_flip_payload_digit(trace.read_bytes(), 3))
+        for extra in ([], ["--check"], ["--chrome", str(tmp_path / "c.json")]):
+            assert main(["trace", str(flipped), *extra]) == 1
+            err = capsys.readouterr().err
+            assert "INVALID: corrupt record after record 3" in err
+            assert "Traceback" not in err
+
+    def test_telemetry_reports_corruption_without_traceback(
+        self, tmp_path, capsys
+    ):
+        from repro.obs.events import EventLog
+        from tests.test_store import _flip_payload_digit
+
+        path = tmp_path / "flipped.events.jsonl"
+        log = EventLog(str(path), log_id="deadbeef")
+        for i in range(4):
+            log.emit({"id": f"e{i}", "stream": "serve", "ts": float(i)})
+        log.close()
+        path.write_bytes(_flip_payload_digit(path.read_bytes(), 2))
+        for sub in ([], ["query"], ["slo"]):
+            assert main(["telemetry", str(path), *sub]) == 1
+            err = capsys.readouterr().err
+            assert all(line.startswith("INVALID: ") for line in err.splitlines())
+            assert "corrupt record after record 2" in err
+
     def test_trace_profile_default(self, traced_run, capsys):
         trace, _ = traced_run
         assert main(["trace", str(trace), "--top", "3"]) == 0

@@ -27,6 +27,7 @@ from repro.obs.profile import profile_trace
 from repro.obs.trace import NULL_TRACER, Tracer, trace_id_for
 from repro.queries.corpus import build_corpus
 from repro.serve.stats import GatewayStats
+from repro.store.record_log import StoreCorruption, scan_log, unframe_line
 
 FLAKY = FaultPlan.named("flaky-network", seed=7)
 
@@ -321,6 +322,54 @@ class TestTraceFile:
         assert spans  # everything before the torn byte survives
         assert summary is None
         assert any("truncated: true" in p for p in validate_trace(cut))
+
+    @pytest.mark.parametrize("damage", ["cut-short", "digit-flip"])
+    def test_interior_corruption_is_not_a_torn_tail(
+        self, trace_path, tmp_path, damage
+    ):
+        from tests.test_store import _flip_payload_digit
+
+        data = trace_path.read_bytes()
+        if damage == "cut-short":
+            lines = data.split(b"\n")
+            lines[5] = lines[5][:-20]
+            damaged = b"\n".join(lines)
+        else:  # still parses as JSON: only the frame's CRC catches it
+            damaged = _flip_payload_digit(data, 5)
+        broken = tmp_path / "corrupt.trace.jsonl"
+        broken.write_bytes(damaged)
+        with pytest.raises(StoreCorruption):
+            read_trace(broken)
+        problems = validate_trace(broken)
+        assert any("corrupt record after record 5" in p for p in problems)
+        assert not any("truncated" in p for p in problems)
+
+    def test_fsck_scans_and_repairs_traces(self, trace_path, tmp_path, capsys):
+        from repro.cli import main
+
+        assert scan_log(trace_path).clean
+        assert main(["fsck", str(trace_path)]) == 0
+        lines = trace_path.read_bytes().split(b"\n")
+        lines[5] = lines[5][:-20]
+        broken = tmp_path / "corrupt.trace.jsonl"
+        broken.write_bytes(b"\n".join(lines))
+        assert main(["fsck", str(broken)]) == 1
+        assert main(["fsck", str(broken), "--repair"]) == 0
+        assert main(["fsck", str(broken)]) == 0
+        capsys.readouterr()
+        _, spans, _ = read_trace(broken)
+        assert len(spans) == len(read_trace(trace_path)[1]) - 1
+
+    def test_legacy_unframed_trace_reads_back(self, trace_path, tmp_path):
+        legacy = tmp_path / "legacy.trace.jsonl"
+        with open(trace_path, "rb") as handle:
+            legacy.write_text(
+                "".join(unframe_line(line) + "\n" for line in handle),
+                encoding="utf-8",
+            )
+        assert not legacy.read_bytes().startswith(b"~F1 ")
+        assert read_trace(legacy) == read_trace(trace_path)
+        assert validate_trace(legacy) == []
 
     def test_chrome_export(self, trace_path):
         doc = chrome_trace(trace_path)
